@@ -12,10 +12,9 @@ from .family import FamilyConfig, FamilyE0, build_family, build_m_set, family_st
 from .fourier import coloring_fourier, indicator_fourier, parseval_check, sum_sq_disc
 from .hypergraph import (Coloring, SumEdge, color_value, edge_cardinality,
                          edge_elements, enumerate_canonical_edges)
-from .numtheory import (Rational, dirichlet_approx, gcd, mod_inverse_pair,
-                        totatives)
-from .solver import (DiscReport, TwoNormBound, exact_discrepancy,
-                     local_search_upper, random_coloring_upper, two_norm_lower)
+from .numtheory import dirichlet_approx, mod_inverse_pair, totatives
+from .solver import (DiscReport, TwoNormBound, TwoNormEngine, exact_discrepancy,
+                     local_search_upper, random_coloring_upper)
 
 __version__ = "0.1.0"
 
@@ -25,8 +24,8 @@ __all__ = [
     "coloring_fourier", "indicator_fourier", "parseval_check", "sum_sq_disc",
     "Coloring", "SumEdge", "color_value", "edge_cardinality",
     "edge_elements", "enumerate_canonical_edges",
-    "Rational", "dirichlet_approx", "gcd", "mod_inverse_pair", "totatives",
-    "DiscReport", "TwoNormBound", "exact_discrepancy", "local_search_upper",
-    "random_coloring_upper", "two_norm_lower",
+    "dirichlet_approx", "mod_inverse_pair", "totatives",
+    "DiscReport", "TwoNormBound", "TwoNormEngine", "exact_discrepancy",
+    "local_search_upper", "random_coloring_upper",
     "__version__",
 ]

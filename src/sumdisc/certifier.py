@@ -32,10 +32,10 @@ from typing import Iterable, Iterator
 
 from .family import (in_m_interval, kbar, length1_at_scale, length2_at_scale)
 from .fourier import indicator_fourier
-from .hypergraph import InternalInvariantViolation, SumEdge, edge_cardinality
-from .hypergraph import check_invariant as _check
+from .hypergraph import SumEdge, edge_cardinality
+from .numtheory import InternalInvariantViolation
+from .numtheory import check_invariant as _check
 from .numtheory import dirichlet_approx, mod_inverse_pair, nearest_int
-from .numtheory import isqrt_floor
 
 MIN_N = 576
 TOL_SCALE = 1e-6
@@ -103,7 +103,7 @@ def select_delta1(alpha: Fraction, n: int) -> tuple[int, int]:
     if not (0 <= alpha < 1):
         raise ValueError("alpha must lie in [0, 1)")
     p, q = alpha.numerator, alpha.denominator
-    for delta in range(1, isqrt_floor(n) + 1):
+    for delta in range(1, math.isqrt(n) + 1):
         t = delta * p
         a = nearest_int(t, q)
         r = abs(t - a * q)
@@ -259,7 +259,7 @@ def sweep_alphas(n: int, grid: int, n_random: int = 0, seed: int = 0,
         eps_list = [inv_n - Fraction(1, n * n), inv_n,
                     inv_n + Fraction(1, n * n), Fraction(1, 2 * n),
                     Fraction(1, n * n)]
-        denoms = list(range(1, 25)) + [25, 26, isqrt_floor(n) - 1, isqrt_floor(n)]
+        denoms = list(range(1, 25)) + [25, 26, math.isqrt(n) - 1, math.isqrt(n)]
         for d in denoms:
             for a in range(0, d + 1):
                 if a and math.gcd(a, d) != 1:

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .hypergraph import SumEdge, edge_cardinality
-from .numtheory import isqrt_ceil, isqrt_floor, totatives
+from .numtheory import (InternalInvariantViolation, check_invariant,
+                        isqrt_ceil, totatives)
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +42,7 @@ class BadK(ValueError):
     """Raised when a dyadic scale k exceeds kbar for the given difference."""
 
 
-class ContainmentViolation(RuntimeError):
+class ContainmentViolation(InternalInvariantViolation):
     """An edge of the built family escapes [0, N-1]; construction bug."""
 
 
@@ -117,7 +118,7 @@ def build_m_set(n: int, delta1: int, b: int, k: int) -> MSet:
     if k < 0 or k > kbar(n, delta1):
         raise BadK(f"k={k} outside [0, {kbar(n, delta1)}] for delta1={delta1}")
     step = (4 ** k) * delta1
-    lo = isqrt_floor((4 ** k) * n) + 1  # smallest integer > 2^k sqrt(n)
+    lo = math.isqrt((4 ** k) * n) + 1  # smallest integer > 2^k sqrt(n)
     first = lo + ((b - lo) % step)
     members = []
     d2 = first
@@ -130,7 +131,8 @@ def build_m_set(n: int, delta1: int, b: int, k: int) -> MSet:
     count = len(members)
     # count <= 3 * 2^-k sqrt(n) / delta1, checked by squaring
     if (count * (1 << k) * delta1) ** 2 > 9 * n:
-        raise AssertionError(
+        raise InternalInvariantViolation(
+            "m-set-size",
             f"M({b},{k}) for delta1={delta1}, n={n} has {count} members, "
             "more than 3*2^-k*sqrt(n)/delta1")
     return MSet(delta1=delta1, b=b, k=k, members=tuple(members))
@@ -159,24 +161,6 @@ class FamilyE0:
         for edge, _ in self.e3:
             yield edge
 
-    def sub_family_of(self, edge: SumEdge) -> str | None:
-        """Which part of the family contains this exact edge record."""
-        if edge in self._edge_sets()[0]:
-            return "e1"
-        if edge in self._edge_sets()[1]:
-            return "e2"
-        if edge in self._edge_sets()[2]:
-            return "e3"
-        return None
-
-    def _edge_sets(self) -> tuple[frozenset, frozenset, frozenset]:
-        cached = getattr(self, "_sets", None)
-        if cached is None:
-            cached = (frozenset(self.e1), frozenset(self.e2),
-                      frozenset(e for e, _ in self.e3))
-            object.__setattr__(self, "_sets", cached)
-        return cached
-
 
 def _e1_edges(n: int) -> list[SumEdge]:
     return [SumEdge(d1=d1, l1=(n + 6 * d1 - 1) // (6 * d1), d2=1, l2=1)
@@ -185,7 +169,7 @@ def _e1_edges(n: int) -> list[SumEdge]:
 
 def _e2_edges(n: int) -> list[SumEdge]:
     out = []
-    for d1 in range(25, isqrt_floor(n) + 1):
+    for d1 in range(25, math.isqrt(n) + 1):
         l1 = (n + 12 * d1 - 1) // (12 * d1)
         l2 = (d1 - 1 + 11) // 12
         for d2 in range(1, d1):
@@ -195,7 +179,7 @@ def _e2_edges(n: int) -> list[SumEdge]:
 
 def _e3_edges(n: int) -> list[tuple[SumEdge, Provenance]]:
     out = []
-    for d1 in range(1, isqrt_floor(n) + 1):
+    for d1 in range(1, math.isqrt(n) + 1):
         for k in range(0, kbar(n, d1) + 1):
             l1 = length1_at_scale(n, k)
             l2 = length2_at_scale(n, k)
@@ -212,7 +196,7 @@ def build_family(cfg: FamilyConfig) -> FamilyE0:
     Every edge must fit in [0, n-1].  For n >= 576 a violation raises
     ContainmentViolation (it would indicate a construction bug); for the
     degenerate small-n regime offending edges are clipped out and logged.
-    The count bounds |e3| <= 6n and |e1|+|e2|+|e3| <= 7n are asserted for
+    The count bounds |e3| <= 6n and |e1|+|e2|+|e3| <= 7n are checked for
     n >= 25 (below that even the 24 fixed e1 records exceed n).
     """
     n = cfg.n
@@ -223,7 +207,7 @@ def build_family(cfg: FamilyConfig) -> FamilyE0:
             return True
         if n >= 576:
             raise ContainmentViolation(
-                f"edge {edge} spans {edge.span} > {n - 1} at n={n}")
+                "containment", f"edge {edge} spans {edge.span} > {n - 1} at n={n}")
         log.warning("clipping edge %s (span %d) out of family at n=%d",
                     edge, edge.span, n)
         clipped.append(edge)
@@ -234,11 +218,12 @@ def build_family(cfg: FamilyConfig) -> FamilyE0:
     e3 = [(e, prov) for e, prov in _e3_edges(n) if keep(e)]
 
     if n >= COUNT_CHECK_MIN_N:
-        assert len(e3) <= 6 * n, f"|e3|={len(e3)} > 6n at n={n}"
-        assert len(e1) + len(e2) < n, \
-            f"|e1|+|e2|={len(e1) + len(e2)} >= n at n={n}"
-        assert len(e1) + len(e2) + len(e3) <= 7 * n, \
-            f"family size {len(e1) + len(e2) + len(e3)} > 7n at n={n}"
+        check_invariant(len(e3) <= 6 * n, "count-e3",
+                        f"|e3|={len(e3)} > 6n at n={n}")
+        check_invariant(len(e1) + len(e2) < n, "count-e1-e2",
+                        f"|e1|+|e2|={len(e1) + len(e2)} >= n at n={n}")
+        check_invariant(len(e1) + len(e2) + len(e3) <= 7 * n, "count-total",
+                        f"family size {len(e1) + len(e2) + len(e3)} > 7n at n={n}")
     return FamilyE0(n=n, e1=e1, e2=e2, e3=e3, clipped=clipped)
 
 
@@ -266,16 +251,19 @@ def family_stats(f: FamilyE0) -> FamilyStats:
     min_e2: int | None = None
     for e in f.e2:
         card = edge_cardinality(e)
-        if card.collision_free:
-            assert 150 * card.value >= f.n, \
-                f"e2 edge {e} has {card.value} < n/150 elements"
+        if card.collision_free and 150 * card.value < f.n:
+            raise InternalInvariantViolation(
+                "e2-size", f"e2 edge {e} has {card.value} < n/150 elements")
         min_e2 = card.value if min_e2 is None else min(min_e2, card.value)
     min_e3: int | None = None
     for e, _ in f.e3:
         card = edge_cardinality(e)
-        assert card.collision_free, f"e3 edge {e} has colliding lattice points"
-        assert 144 * card.value >= f.n, \
-            f"e3 edge {e} has {card.value} < n/144 elements"
+        if not card.collision_free:
+            raise InternalInvariantViolation(
+                "e3-injective", f"e3 edge {e} has colliding lattice points")
+        if 144 * card.value < f.n:
+            raise InternalInvariantViolation(
+                "e3-size", f"e3 edge {e} has {card.value} < n/144 elements")
         min_e3 = card.value if min_e3 is None else min(min_e3, card.value)
     return FamilyStats(
         n=f.n,

@@ -17,13 +17,11 @@ than twice the polynomial degree.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .hypergraph import Coloring, SumEdge, edge_elements_array, translate_values
-from .numtheory import gcd
 
 TWO_PI = 2.0 * cmath.pi
 
@@ -34,21 +32,6 @@ _INT64_GUARD = 1 << 62
 
 class GridTooCoarse(ValueError):
     """Quadrature grid too small to integrate the polynomial exactly."""
-
-
-@dataclass(frozen=True)
-class FourierPoint:
-    alpha: Fraction
-    value: complex
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("grid size must be positive")
 
 
 def _phases(values: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -95,11 +78,9 @@ def indicator_fourier(e: SumEdge, alpha: Fraction, method: str = "auto") -> comp
     if method not in ("auto", "direct", "factorized"):
         raise ValueError(f"unknown method {method!r}")
     if method != "direct":
-        g = gcd(e.d1, e.d2)
-        factorizable = e.l1 * g <= e.d2 or e.l2 * g <= e.d1
-        if method == "factorized" and not factorizable:
+        if method == "factorized" and not e.collision_free:
             raise ValueError("edge has lattice collisions; product form invalid")
-        if factorizable:
+        if e.collision_free:
             return (geometric_exp_sum(e.d1, e.l1, alpha)
                     * geometric_exp_sum(e.d2, e.l2, alpha))
     return unit_exp_sum(edge_elements_array(e), alpha)
@@ -122,7 +103,7 @@ def sum_sq_disc(chi: Coloring, e: SumEdge) -> int:
     return int(np.dot(c, c))
 
 
-def parseval_check(chi: Coloring, e: SumEdge, g: GridSpec) -> float:
+def parseval_check(chi: Coloring, e: SumEdge, m: int) -> float:
     """Relative gap between the translate-loop total and grid quadrature.
 
     Requires m > 2 * (N + span): the integrand is a trigonometric
@@ -131,11 +112,11 @@ def parseval_check(chi: Coloring, e: SumEdge, g: GridSpec) -> float:
     noise level (<= 1e-8).
     """
     span = e.span
-    if g.m <= 2 * (chi.n + span):
+    if m <= 2 * (chi.n + span):
         raise GridTooCoarse(
-            f"m={g.m} <= 2*(n + span)={2 * (chi.n + span)}")
+            f"m={m} <= 2*(n + span)={2 * (chi.n + span)}")
     lhs = sum_sq_disc(chi, e)
-    rhs = quadrature_sum_sq(chi, [e], g.m)
+    rhs = quadrature_sum_sq(chi, [e], m)
     return abs(lhs - rhs) / lhs
 
 
@@ -146,11 +127,9 @@ def _grid_transform(positions: np.ndarray, weights: np.ndarray, m: int) -> np.nd
     return np.abs(np.fft.fft(padded)) ** 2
 
 
-def edge_spectrum(e: SumEdge, m: int) -> list[FourierPoint]:
-    """The edge's exponential sum sampled on the uniform grid t/m."""
-    return [FourierPoint(alpha=Fraction(t, m),
-                         value=indicator_fourier(e, Fraction(t, m)))
-            for t in range(m)]
+def edge_spectrum(e: SumEdge, m: int) -> list[complex]:
+    """The edge's exponential sum at t/m for t = 0, ..., m - 1."""
+    return [indicator_fourier(e, Fraction(t, m)) for t in range(m)]
 
 
 def quadrature_sum_sq(chi: Coloring, edges, m: int) -> float:

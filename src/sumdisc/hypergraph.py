@@ -28,51 +28,20 @@ points collide exactly (see the notes above it).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numtheory import gcd
+from .numtheory import InternalInvariantViolation, check_invariant
 
 ENUMERATION_CAP = 64
 
 
 class CapExceeded(ValueError):
     """Raised when an exhaustive operation is asked to run beyond its cap."""
-
-
-class InternalInvariantViolation(RuntimeError):
-    """A step that is a proved fact failed; indicates a bug or bad input."""
-
-    def __init__(self, invariant: str, message: str):
-        super().__init__(f"{invariant}: {message}")
-        self.invariant = invariant
-
-
-def check_invariant(cond: bool, invariant: str, message: str) -> None:
-    """Raise InternalInvariantViolation unless ``cond``; unlike ``assert``
-    this also runs under ``python -O``."""
-    if not cond:
-        raise InternalInvariantViolation(invariant, message)
-
-
-@dataclass(frozen=True)
-class APSpec:
-    """Arithmetic progression {start + j*diff : 0 <= j < length}."""
-
-    start: int
-    diff: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.diff < 1 or self.length < 1:
-            raise ValueError("diff and length must be positive")
-
-    def elements(self) -> list[int]:
-        return [self.start + j * self.diff for j in range(self.length)]
 
 
 @dataclass(frozen=True)
@@ -93,13 +62,15 @@ class SumEdge:
         """Largest element; the edge lives in [0, span]."""
         return (self.l1 - 1) * self.d1 + (self.l2 - 1) * self.d2
 
-    def to_json(self) -> str:
-        return json.dumps({"d1": self.d1, "l1": self.l1, "d2": self.d2, "l2": self.l2})
+    @property
+    def collision_free(self) -> bool:
+        """Whether the l1 x l2 lattice points are distinct elements.
 
-    @classmethod
-    def from_json(cls, text: str) -> "SumEdge":
-        rec = json.loads(text)
-        return cls(d1=rec["d1"], l1=rec["l1"], d2=rec["d2"], l2=rec["l2"])
+        Two points collide exactly when l1 > d2/g and l2 > d1/g with
+        g = gcd(d1, d2), so one short side rules out every collision.
+        """
+        g = math.gcd(self.d1, self.d2)
+        return self.l1 * g <= self.d2 or self.l2 * g <= self.d1
 
 
 @dataclass(frozen=True)
@@ -123,15 +94,13 @@ def edge_elements(e: SumEdge) -> list[int]:
 def edge_cardinality(e: SumEdge) -> CardinalityResult:
     """Number of distinct elements, plus whether the grid maps injectively.
 
-    If one progression is shorter than the other difference divided by the
-    gcd of the differences, no two lattice points collide and the size is
-    exactly l1*l2; otherwise the size is computed by enumeration.
+    A collision-free edge has exactly l1*l2 elements; otherwise the size is
+    computed by enumeration.
     """
-    g = gcd(e.d1, e.d2)
-    if e.l1 * g <= e.d2 or e.l2 * g <= e.d1:
+    if e.collision_free:
         return CardinalityResult(value=e.l1 * e.l2, collision_free=True)
-    value = int(edge_elements_array(e).size)
-    return CardinalityResult(value=value, collision_free=value == e.l1 * e.l2)
+    return CardinalityResult(value=int(edge_elements_array(e).size),
+                             collision_free=False)
 
 
 class Coloring:
@@ -185,14 +154,6 @@ class Coloring:
         rng = np.random.default_rng(seed)
         v = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
         return cls(n, v)
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "values": self.values.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Coloring":
-        rec = json.loads(text)
-        return cls(rec["n"], rec["values"])
 
 
 @dataclass(frozen=True)
@@ -313,7 +274,7 @@ class _PairSweep:
 
     def __init__(self, v: np.ndarray, d1: int, d2: int):
         n = v.size
-        g = gcd(d1, d2)
+        g = math.gcd(d1, d2)
         self.n, self.d1, self.d2, self.g = n, d1, d2, g
         self.D1, self.D2 = d1 // g, d2 // g
         self.L = L = self.D1 * d2

@@ -6,17 +6,18 @@ irrational thresholds of the form ``c * sqrt(n)`` are done by integer
 squaring instead of floating point.  The rest of the package routes every
 branch decision through these primitives; floats only ever appear when a
 complex exponential is finally evaluated.
+
+Proved facts are checked everywhere with ``check_invariant`` or by raising
+``InternalInvariantViolation``; unlike ``assert``, both run under
+``python -O``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-# Exact rational type used across the package.  Fraction already guarantees
-# the invariants we need: denominator > 0 and gcd(|num|, den) == 1.
-Rational = Fraction
 
 
 class NotCoprime(ValueError):
@@ -27,24 +28,31 @@ class DegenerateModulus(ValueError):
     """Raised when a modulus < 2 is passed where an inverse pair is needed."""
 
 
-def gcd(x: int, y: int) -> int:
-    """Greatest common divisor of two non-negative integers.
+class InternalInvariantViolation(RuntimeError):
+    """A step that is a proved fact failed; indicates a bug or bad input.
 
-    ``gcd(0, 0)`` is rejected: there is no greatest common divisor of two
-    zeros and silently returning 0 would poison downstream reductions.
+    ``module`` names the sumdisc module whose check failed: the one that
+    raised, or the caller of ``check_invariant``.  It pickles with the
+    instance, so the exception crosses a process pool intact.
     """
-    if x < 0 or y < 0:
-        raise ValueError("gcd arguments must be non-negative")
-    if x == 0 and y == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(x, y)
+
+    def __init__(self, invariant: str, message: str):
+        super().__init__(invariant, message)
+        self.invariant = invariant
+        frame = sys._getframe(1)
+        if frame.f_code is check_invariant.__code__:
+            frame = frame.f_back
+        self.module = frame.f_globals["__name__"].rpartition(".")[2]
+
+    def __str__(self) -> str:
+        return f"{self.invariant}: {self.args[1]}"
 
 
-def isqrt_floor(x: int) -> int:
-    """Largest integer s with s*s <= x."""
-    if x < 0:
-        raise ValueError("isqrt_floor of a negative number")
-    return math.isqrt(x)
+def check_invariant(cond: bool, invariant: str, message: str) -> None:
+    """Raise InternalInvariantViolation unless ``cond``; unlike ``assert``
+    this also runs under ``python -O``."""
+    if not cond:
+        raise InternalInvariantViolation(invariant, message)
 
 
 def isqrt_ceil(x: int) -> int:
@@ -134,10 +142,10 @@ def dirichlet_approx(alpha: Fraction, k: int) -> DirichletWitness:
         # |delta*alpha - a| < 1/k  <=>  r*k < q
         if r * k < q:
             return DirichletWitness(delta=delta, a=a, err=Fraction(r, q))
-    raise AssertionError(
+    raise InternalInvariantViolation(
+        "dirichlet-existence",
         f"no denominator <= {k} approximates {alpha} within 1/{k}; "
-        "this contradicts the pigeonhole principle"
-    )
+        "this contradicts the pigeonhole principle")
 
 
 def totatives(delta: int) -> list[int]:

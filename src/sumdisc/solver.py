@@ -9,14 +9,13 @@ occurs between two edge elements), so a whole-family evaluation is two
 correlations and a dot product per coloring once the profiles are built.
 S >= n**3 / 90000 holds for every coloring, and the offset maximizer
 always exceeds sqrt(n)/1200 in absolute color value; both facts are
-asserted on every call.
+checked on every call.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .hypergraph import (CapExceeded, Coloring, SumEdge, TranslatedEdgeValue,
                          edge_cardinality, edge_elements_array,
                          max_edge_imbalance, translate_values, window_vertices,
                          ENUMERATION_CAP)
+from .numtheory import check_invariant
 
 log = logging.getLogger(__name__)
 
@@ -143,8 +143,8 @@ class TwoNormEngine:
         v = chi.values.astype(np.int64)
         autocorr = np.correlate(v, v, "full")[self.n - 1:]
         total = int(np.dot(self.fam_profile, autocorr))
-        assert 90000 * total >= self.n ** 3, \
-            f"squared-imbalance total {total} < n^3/90000 at n={self.n}"
+        check_invariant(90000 * total >= self.n ** 3, "two-norm-bound",
+                        f"squared-imbalance total {total} < n^3/90000 at n={self.n}")
         per_edge = np.add.reduceat(self.weights * autocorr[self.lags],
                                    self.seg_starts)
         best_edge = self.edges[int(np.argmax(per_edge))]
@@ -157,9 +157,11 @@ class TwoNormEngine:
         denom = 2 * self.n * self.n_edges
         # witness**2 * 2n*m >= S: the max over at most 2n offsets of the
         # densest edge dominates the family average
-        assert witness_value ** 2 * denom >= total
-        assert 1440000 * witness_value ** 2 > self.n, \
-            f"witness value {witness_value} <= sqrt(n)/1200 at n={self.n}"
+        check_invariant(witness_value ** 2 * denom >= total, "averaging",
+                        f"witness value {witness_value} squared times 2nm = {denom} "
+                        f"is below S = {total}")
+        check_invariant(1440000 * witness_value ** 2 > self.n, "witness-bound",
+                        f"witness value {witness_value} <= sqrt(n)/1200 at n={self.n}")
         return TwoNormBound(
             n=self.n,
             total=total,
@@ -167,20 +169,6 @@ class TwoNormEngine:
             derived_disc_lb=math.sqrt(total / denom),
             witness=witness,
         )
-
-
-_engines: "weakref.WeakKeyDictionary[FamilyE0, TwoNormEngine]" = \
-    weakref.WeakKeyDictionary()
-
-
-def two_norm_lower(chi: Coloring, family: FamilyE0) -> TwoNormBound:
-    """Averaging lower bound for one coloring; profiles are cached per
-    family object."""
-    engine = _engines.get(family)
-    if engine is None:
-        engine = TwoNormEngine(family)
-        _engines[family] = engine
-    return engine.evaluate(chi)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +337,8 @@ def local_search_upper(n: int, restarts: int = 20, seed: int = 0,
         if best is None or value < best:
             best, best_signs, best_idx = value, signs.copy(), idx
     check, _ = _max_imbalance(packed, sizes, best_signs)
-    assert check == best, "re-verification scan disagrees with search value"
+    check_invariant(check == best, "local-search-rescore",
+                    f"re-verification scan gives {check}, search found {best}")
     return DiscReport(n=n, method="local_search", disc_value=int(best),
                       n_edges=len(packed),
                       witness_coloring=best_signs.tolist(),

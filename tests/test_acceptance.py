@@ -2,22 +2,28 @@
 the numbers that back it.  Criterion 7 runs at both stated sizes: at n=64
 over the enumerated distinct edges, at n=256 through the exact
 max-imbalance sweep with the envelope taken at the progression count, a
-lower bound on the number of distinct edges.
+lower bound on the number of distinct edges.  The last test checks that
+the invariant checks behind these criteria still run under ``python -O``.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sumdisc
 from sumdisc.certifier import TOL_SCALE, certify, sweep_alphas
 from sumdisc.family import FamilyConfig, build_family
-from sumdisc.fourier import GridSpec, parseval_check, quadrature_sum_sq, sum_sq_disc
+from sumdisc.fourier import parseval_check, quadrature_sum_sq, sum_sq_disc
 from sumdisc.hypergraph import Coloring, SumEdge, edge_cardinality
-from sumdisc.solver import (exact_discrepancy, local_search_upper,
-                            random_coloring_upper, two_norm_lower)
+from sumdisc.solver import (TwoNormEngine, exact_discrepancy,
+                            local_search_upper, random_coloring_upper)
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
@@ -59,7 +65,7 @@ def test_c3_parseval():
             chi = Coloring.random(n, seed=rng.randrange(2 ** 31))
             e = SumEdge(rng.randint(1, 10), rng.randint(1, 8),
                         rng.randint(1, 10), rng.randint(1, 8))
-            err = parseval_check(chi, e, GridSpec(m=2 * (n + e.span) + 1))
+            err = parseval_check(chi, e, 2 * (n + e.span) + 1)
             worst = max(worst, err)
             assert err <= 1e-8
         print(f"[criterion 3] PASS n={n}: 100 pairs, worst rel err {worst:.2e}")
@@ -99,7 +105,7 @@ def test_c5_averaging_chain():
     """Criterion 5: S >= n^3/90000 and the maximizing translate exceeds
     sqrt(n)/1200, for 100 random + structured colorings per size."""
     for n in (576, 1024, 2048):
-        fam = build_family(FamilyConfig(n=n))
+        engine = TwoNormEngine(build_family(FamilyConfig(n=n)))
         colorings = [("ones", Coloring.all_plus(n)),
                      ("alt", Coloring.alternating(n)),
                      ("block", Coloring.block(n))]
@@ -108,7 +114,7 @@ def test_c5_averaging_chain():
         min_total = math.inf
         min_wit = math.inf
         for _, chi in colorings:
-            bound = two_norm_lower(chi, fam)  # asserts both facts internally
+            bound = engine.evaluate(chi)  # checks both facts internally
             assert 90000 * bound.total >= n ** 3
             assert 1200 ** 2 * bound.witness_value ** 2 > n
             min_total = min(min_total, bound.total)
@@ -176,3 +182,50 @@ def test_c8_exact_solver_sanity():
         assert rand >= exact and local >= exact, n
     print("[criterion 8] PASS: exact(1)=1, exact(2)=1; random and "
           "local-search bounds dominate the exact optimum for n=1..16")
+
+
+# Each script breaks one proved fact; under -O it must still end in
+# InternalInvariantViolation, named by module and invariant.
+BROKEN_UNDER_O = {
+    "solver two-norm-bound": """
+from sumdisc.family import FamilyConfig, build_family
+from sumdisc.hypergraph import Coloring
+from sumdisc.solver import TwoNormEngine
+engine = TwoNormEngine(build_family(FamilyConfig(n=100)))
+engine.fam_profile[:] = 0
+engine.evaluate(Coloring.random(100, seed=0))
+""",
+    "family count-e3": """
+from sumdisc import family
+e3_edges = family._e3_edges
+family._e3_edges = lambda n: e3_edges(n) * (6 * n)
+family.build_family(family.FamilyConfig(n=100))
+""",
+}
+
+
+RUN_BROKEN = """
+import sys
+from sumdisc.numtheory import InternalInvariantViolation
+if __debug__:
+    sys.exit("not running under -O")
+try:
+    exec(sys.argv[1])
+except InternalInvariantViolation as exc:
+    print(exc.module, exc.invariant)
+else:
+    sys.exit("no violation raised")
+"""
+
+
+@pytest.mark.parametrize("expected", sorted(BROKEN_UNDER_O))
+def test_checks_survive_python_O(expected):
+    src = str(Path(sumdisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-O", "-c", RUN_BROKEN,
+                          BROKEN_UNDER_O[expected]],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == expected
+    print(f"[python -O] PASS: {expected} raised InternalInvariantViolation")

@@ -11,7 +11,6 @@ from sumdisc.certifier import (MIN_N, TOL_SCALE, BelowMinN, Certificate,
 from sumdisc.family import (FamilyConfig, build_family, build_m_set, kbar,
                             length1_at_scale, length2_at_scale)
 from sumdisc.fourier import indicator_fourier
-from sumdisc.numtheory import isqrt_floor
 
 
 class TestSelectDelta1:
@@ -32,7 +31,7 @@ class TestSelectDelta1:
             q = rng.randint(1, 10 ** 6)
             alpha = Fraction(rng.randint(0, q - 1), q)
             d1, a1 = select_delta1(alpha, n)
-            assert 1 <= d1 <= isqrt_floor(n)
+            assert 1 <= d1 <= math.isqrt(n)
             assert math.gcd(a1, d1) == 1 or (a1 == 0 and d1 == 1)
             err = abs(d1 * alpha - a1)
             assert err.numerator ** 2 * n < err.denominator ** 2
@@ -56,8 +55,14 @@ class TestClassify:
         assert classify_case(alpha, d1, a1, n) == 3
 
 
-def reverify(cert: Certificate, fam) -> None:
-    """Re-check every certificate invariant outside of certify()."""
+def sub_families(fam) -> dict[str, set]:
+    """Each sub-family's edges as a set, for membership checks."""
+    return {"e1": set(fam.e1), "e2": set(fam.e2), "e3": {e for e, _ in fam.e3}}
+
+
+def reverify(cert: Certificate, subs: dict[str, set]) -> None:
+    """Re-check every certificate invariant outside of certify(); ``subs``
+    is ``sub_families`` of the family for cert.n."""
     n, alpha = cert.n, cert.alpha
     err = abs(alpha - Fraction(cert.a1, cert.delta1))
     # reduced fraction and the base approximation inequality
@@ -68,14 +73,14 @@ def reverify(cert: Certificate, fam) -> None:
         assert err < Fraction(1, n) and cert.delta1 <= 24
         assert cert.edge.l1 == -(-n // (6 * cert.delta1))
         assert (cert.edge.d2, cert.edge.l2) == (1, 1)
-        assert fam.sub_family_of(cert.edge) == "e1"
+        assert cert.edge in subs["e1"]
         assert cert.certified_bound == n / 288
     elif cert.case_tag == 2:
         assert err < Fraction(1, n) and cert.delta1 > 24
         assert 1 <= cert.delta2 <= cert.delta1 - 1
         assert math.gcd(cert.delta1, cert.delta2) == 1
         assert abs(cert.delta2 * alpha - cert.a2) <= Fraction(1, cert.delta1 - 1)
-        assert fam.sub_family_of(cert.edge) == "e2"
+        assert cert.edge in subs["e2"]
         assert 150 * cert.edge.l1 * cert.edge.l2 >= n
         assert cert.certified_bound == n / 300
     else:
@@ -94,7 +99,7 @@ def reverify(cert: Certificate, fam) -> None:
         assert cert.delta2 > cert.edge.l1
         assert cert.edge.l1 == length1_at_scale(n, k)
         assert cert.edge.l2 == length2_at_scale(n, k)
-        assert fam.sub_family_of(cert.edge) == "e3"
+        assert cert.edge in subs["e3"]
         assert 144 * cert.edge.l1 * cert.edge.l2 >= n
         assert cert.certified_bound == n / 288
         # sign, inverse residue, rounding chain
@@ -166,18 +171,18 @@ class TestCertify:
 class TestSweep:
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_reduced_sweep_reverified(self, n):
-        fam = build_family(FamilyConfig(n=n))
+        subs = sub_families(build_family(FamilyConfig(n=n)))
         alphas = sweep_alphas(n, 400, n_random=60, seed=5)
         count = {1: 0, 2: 0, 3: 0}
         for cert in sweep(n, alphas):
-            reverify(cert, fam)
+            reverify(cert, subs)
             count[cert.case_tag] += 1
         assert sum(count.values()) == len(alphas)
         assert count[3] > 0 and count[1] > 0  # branches actually exercised
 
     def test_case2_exercised(self):
         n = 4096
-        fam = build_family(FamilyConfig(n=n))
+        subs = sub_families(build_family(FamilyConfig(n=n)))
         hits = 0
         for d1 in range(25, 41):
             for a1 in range(1, d1):
@@ -185,7 +190,7 @@ class TestSweep:
                     continue
                 cert = certify(Fraction(a1, d1), n)
                 assert cert.case_tag == 2
-                reverify(cert, fam)
+                reverify(cert, subs)
                 hits += 1
         assert hits > 100
 

@@ -1,13 +1,17 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import pickle
 
 import pytest
 from click.testing import CliRunner
 
-from sumdisc import hypergraph
+from sumdisc import certifier, cli, hypergraph
 from sumdisc.cli import main
-from sumdisc.hypergraph import SumEdge, count_progressions
+from sumdisc.hypergraph import (InternalInvariantViolation, SumEdge,
+                                count_progressions)
 
 
 @pytest.fixture
@@ -58,6 +62,17 @@ class TestCertifyCommand:
         res = runner.invoke(main, ["certify", "--n", "1200", "--alpha", "0.5"])
         assert res.exit_code == 2
 
+    def test_usage_error_code(self, runner):
+        res = runner.invoke(main, ["certify", "--n", "1200", "--alpha", "0.7"])
+        assert res.exit_code == 2
+
+    def test_file_output(self, runner, tmp_path):
+        out = tmp_path / "cert.json"
+        res = runner.invoke(main, ["certify", "--n", "1200", "--alpha", "0/1",
+                                   "--out", str(out)])
+        assert res.exit_code == 0 and res.stdout == ""
+        assert json.loads(out.read_text())["case"] == 1
+
     def test_out_of_range_alpha_rejected(self, runner):
         res = runner.invoke(main, ["certify", "--n", "1200", "--alpha", "3/2"])
         assert res.exit_code == 2
@@ -90,6 +105,44 @@ class TestSweepCommand:
         two = runner.invoke(main, base + ["--threads", "2"])
         assert one.exit_code == 0 and two.exit_code == 0
         assert one.output == two.output
+
+    def test_file_output(self, runner, tmp_path):
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, ["sweep", "--n", "1024", "--grid", "20",
+                                   "--seed", "2", "--threads", "1",
+                                   "--out", str(out)])
+        assert res.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert rows and all(r["ok"] == "1" for r in rows)
+
+    @pytest.mark.parametrize("threads, cores, workers", [
+        (1000, 8, 4), (1000, 2, 2), (3, 8, 2), (1, 8, None), (0, 8, None),
+        (-2, 8, None)])
+    def test_worker_count_clamped(self, runner, monkeypatch, threads, cores,
+                                  workers):
+        # a fake pool: records its size and maps in this process
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        base = ["sweep", "--n", "1024", "--grid", "4", "--no-adversarial"]
+        res = runner.invoke(main, base + ["--threads", str(threads)])
+        assert res.exit_code == 0
+        assert made == ([] if workers is None else [workers])
+        assert res.output == runner.invoke(main, base + ["--threads", "1"]).output
 
 
 class TestDiscCommand:
@@ -124,7 +177,9 @@ class TestDiscCommand:
         res = runner.invoke(main, ["disc", "--n", "70", "--method", "random",
                                    "--trials", "1"])
         assert res.exit_code == 1
-        assert json.loads(res.stderr)["invariant"] == "sweep-window-bounds"
+        rec = json.loads(res.stderr)
+        assert rec["invariant"] == "sweep-window-bounds"
+        assert rec["module"] == "hypergraph"
 
 
 class TestTwonormCommand:
@@ -161,24 +216,76 @@ class TestVerifyLemmas:
         assert "all checks passed" in res.output
 
 
-class TestRunConfig:
-    def test_programmatic_run(self, tmp_path, capsys):
-        from sumdisc.cli import RunConfig, run
-        out = tmp_path / "cert.json"
-        code = run(RunConfig(command="certify", n=1200, alpha="0/1",
-                             out=str(out)))
-        assert code == 0
-        assert json.loads(out.read_text())["case"] == 1
+class TestFailureClasses:
+    @pytest.mark.parametrize("args", [
+        ["family", "--n", "0"],
+        ["certify", "--n", "0", "--alpha", "1/3"],
+        ["sweep", "--n", "0"],
+        ["disc", "--n", "0", "--method", "exact"],
+        ["twonorm", "--n", "0"],
+        ["verify-lemmas", "--n", "0"],
+        ["spectrum", "--d1", "0", "--l1", "3", "--d2", "3", "--l2", "2"],
+        ["spectrum", "--d1", "2", "--l1", "0", "--d2", "3", "--l2", "2"],
+        ["spectrum", "--d1", "2", "--l1", "3", "--d2", "0", "--l2", "2"],
+        ["spectrum", "--d1", "2", "--l1", "3", "--d2", "3", "--l2", "0"],
+    ])
+    def test_nonpositive_is_usage_error(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
 
-    def test_usage_error_code(self):
-        from sumdisc.cli import RunConfig, run
-        assert run(RunConfig(command="certify", n=1200, alpha="0.7")) == 2
+    def test_invariant_violation_pickles(self):
+        exc = InternalInvariantViolation("magnitude-bound", "measured 0 < bound 4")
+        again = pickle.loads(pickle.dumps(exc))
+        assert (again.invariant, again.module, str(again)) == \
+            ("magnitude-bound", exc.module, str(exc))
+        assert str(exc) == "magnitude-bound: measured 0 < bound 4"
 
-    def test_sweep_via_config(self, tmp_path):
-        from sumdisc.cli import RunConfig, run
-        out = tmp_path / "s.csv"
-        cfg = RunConfig(command="sweep", n=1024, grid=20, seed=2, threads=1,
-                        out=str(out))
-        assert run(cfg) == 0
-        rows = list(csv.DictReader(io.StringIO(out.read_text())))
-        assert rows and all(r["ok"] == "1" for r in rows)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_forced_failure_record(self, runner, monkeypatch, threads):
+        # forked pool workers inherit the patch
+        monkeypatch.setattr(certifier, "indicator_fourier", lambda e, alpha: 0j)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        res = runner.invoke(main, ["sweep", "--n", "1024", "--grid", "8",
+                                   "--no-adversarial", "--threads", str(threads)])
+        assert res.exit_code == 1 and res.stdout == ""
+        rec = json.loads(res.stderr)
+        assert rec["module"] == "certifier"
+        assert rec["invariant"] == "magnitude-bound"
+        assert rec["message"].startswith("magnitude-bound: measured 0")
+
+
+# SHA-256 of stdout, taken before the CLI had one output and one failure path
+GOLDEN = [
+    ("certify --n 1200 --alpha 7/9",
+     "43e521c9a46eaf1df29b8226986cb09f9395a1398cb14103f49854a72bf9a6db"),
+    ("certify --n 4096 --alpha 1/3001",
+     "ca6d9ae4309c7058844f97f9a8f5e07d63dd4c900df1be7bbefaa2f7682e6930"),
+    ("sweep --n 1024 --grid 50 --random 10 --seed 3 --threads 1",
+     "bcfc4f78b4b3bece509fcb220ee9a77869f0966eafeb77a03d746fdb12e9691a"),
+    ("disc --n 10 --method exact",
+     "3ecad7bb15dcfd68669ff736b338d167eda5bc8f8609c933829eeb34d09d7ec4"),
+    ("disc --n 12 --method random --trials 5 --seed 9",
+     "252c122eedec1f0a202f814e2134a3350e5362e6abb6af581f4ea9f33051d699"),
+    ("disc --n 16 --method local --restarts 3 --seed 0",
+     "93930fa7fe81b544a7647d0ee9b54fa6ca951184654b8c2ba1710b61c85394c2"),
+    ("disc --n 80 --method random --trials 3 --seed 1",
+     "95a18358a305f5e3e40fdb62243ed094130be742b2597ad609ccc4b2af7c8fc5"),
+    ("twonorm --n 576 --colorings random:3,ones,alt,block --seed 0",
+     "86d6bc33c63f3d6f605cbbc34974e04c7d60ab9640ad63908edaf14f5f2ee954"),
+    ("family --n 700",
+     "9f5c2798119067c62ae401de1209478ff086fc375a560a67abf9a9816f090c48"),
+    ("family --n 700 --format csv",
+     "bb23f798feea5680ebbacdceaf3c0a23c1a80166a186650e6997fdeee8d59010"),
+    ("spectrum --d1 2 --l1 3 --d2 3 --l2 2 --grid 16",
+     "3a718121c3b1e7cc0cd16d6e68887aff1f4ee48f9ec14599e9614cc1c3a09e11"),
+    ("verify-lemmas --n 576 --grid 60 --trials 40",
+     "db0086b288947cba2409d9eea7c8397c1b52017b1e16a9c2d9f1e9c1a0d52a95"),
+]
+
+
+@pytest.mark.parametrize("command, digest", GOLDEN)
+def test_golden_stdout(runner, command, digest):
+    res = runner.invoke(main, command.split())
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ from sumdisc.family import (BadK, FamilyConfig, MSet, build_family,
                             build_m_set, family_stats, in_m_interval, kbar,
                             length1_at_scale, length2_at_scale)
 from sumdisc.hypergraph import edge_cardinality
-from sumdisc.numtheory import isqrt_floor, totatives
+from sumdisc.numtheory import totatives
 
 
 class TestMSet:
@@ -23,7 +23,7 @@ class TestMSet:
     def test_members_match_interval_scan(self):
         # oracle: scan every integer and test congruence + open interval
         for n in (100, 1000):
-            for d1 in range(1, isqrt_floor(n) + 1):
+            for d1 in range(1, math.isqrt(n) + 1):
                 for k in range(kbar(n, d1) + 1):
                     step = (4 ** k) * d1
                     for b in totatives(d1):
@@ -47,7 +47,7 @@ class TestMSet:
         # consecutive members differ by exactly 2^(2k)*d1, the step never
         # exceeds 2^k*sqrt(n), and |union over b| <= 3*2^-k*sqrt(n)
         for n in (100, 1000, 10000):
-            for d1 in range(1, isqrt_floor(n) + 1):
+            for d1 in range(1, math.isqrt(n) + 1):
                 for k in range(kbar(n, d1) + 1):
                     step = (4 ** k) * d1
                     assert ((1 << k) * d1) ** 2 <= n  # step <= 2^k sqrt(n)
@@ -63,7 +63,7 @@ class TestMSet:
 class TestScales:
     def test_kbar_is_log2(self):
         for n in (100, 1024, 4096, 65536):
-            for d1 in range(1, isqrt_floor(n) + 1):
+            for d1 in range(1, math.isqrt(n) + 1):
                 k = kbar(n, d1)
                 assert (2 ** k * d1) ** 2 <= n < (2 ** (k + 1) * d1) ** 2
 
@@ -121,7 +121,7 @@ class TestBuildFamily:
             assert 1 <= e.d1 <= 24 and e.d2 == 1 and e.l2 == 1
             assert e.l1 == -(-n // (6 * e.d1))
         for e in fam.e2:
-            assert 25 <= e.d1 <= isqrt_floor(n)
+            assert 25 <= e.d1 <= math.isqrt(n)
             assert 1 <= e.d2 <= e.d1 - 1
             assert e.l1 == -(-n // (12 * e.d1))
             assert e.l2 == -(-(e.d1 - 1) // 12)
@@ -152,11 +152,12 @@ class TestBuildFamily:
 
     def test_sub_family_lookup(self):
         fam = build_family(FamilyConfig(n=1024))
-        assert fam.sub_family_of(fam.e1[0]) == "e1"
-        assert fam.sub_family_of(fam.e2[0]) == "e2"
-        assert fam.sub_family_of(fam.e3[0][0]) == "e3"
+        e3 = [e for e, _ in fam.e3]
+        assert fam.e1[0] in fam.e1 and fam.e1[0] not in fam.e2 + e3
+        assert fam.e2[0] in fam.e2 and fam.e2[0] not in fam.e1 + e3
+        assert e3[0] not in fam.e1 + fam.e2
         from sumdisc.hypergraph import SumEdge
-        assert fam.sub_family_of(SumEdge(999, 999, 999, 999)) is None
+        assert SumEdge(999, 999, 999, 999) not in list(fam.all_edges())
 
 
 class TestStats:

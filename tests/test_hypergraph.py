@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdisc import hypergraph
-from sumdisc.hypergraph import (APSpec, CapExceeded, Coloring,
+from sumdisc.certifier import certify
+from sumdisc.hypergraph import (CapExceeded, Coloring,
                                 InternalInvariantViolation, SumEdge,
                                 canonical_edge_masks, color_value,
                                 count_progressions, edge_cardinality,
@@ -45,11 +47,6 @@ class TestElements:
 
     def test_single_point(self):
         assert edge_elements(SumEdge(1, 1, 1, 1)) == [0]
-
-    def test_ap_spec(self):
-        assert APSpec(start=3, diff=2, length=4).elements() == [3, 5, 7, 9]
-        with pytest.raises(ValueError):
-            APSpec(start=0, diff=0, length=1)
 
 
 class TestCardinality:
@@ -109,13 +106,15 @@ class TestColoring:
         assert int((chi.values.astype(int) ** 2).sum()) == 50
 
     def test_json_round_trip(self):
+        # the form `sumdisc disc` writes a witness coloring in
         chi = Coloring.random(17, seed=9)
-        assert Coloring.from_json(chi.to_json()) == chi
+        assert Coloring(17, json.loads(json.dumps(chi.values.tolist()))) == chi
 
     def test_edge_json_round_trip(self):
-        e = SumEdge(3, 4, 5, 2)
-        assert SumEdge.from_json(e.to_json()) == e
-        assert json.loads(e.to_json()) == {"d1": 3, "l1": 4, "d2": 5, "l2": 2}
+        # the form `sumdisc certify` writes the witness edge in
+        cert = certify(Fraction(7, 9), 1200)
+        rec = json.loads(json.dumps(cert.to_json_dict()))
+        assert SumEdge(**rec["edge"]) == cert.edge
 
 
 class TestColorValue:

@@ -7,28 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdisc.numtheory import (DegenerateModulus, DirichletWitness, NotCoprime,
-                               dirichlet_approx, gcd, isqrt_ceil, isqrt_floor,
-                               mod_inverse_pair, nearest_int, totatives)
-
-
-class TestGcd:
-    @pytest.mark.parametrize("x, y, expected", [
-        (12, 18, 6),
-        (1, 10 ** 9, 1),
-        (25, 15, 5),
-        (0, 7, 7),
-        (7, 0, 7),
-    ])
-    def test_examples(self, x, y, expected):
-        assert gcd(x, y) == expected
-
-    def test_zero_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gcd(0, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            gcd(-4, 6)
+                               dirichlet_approx, isqrt_ceil, mod_inverse_pair,
+                               nearest_int, totatives)
 
 
 class TestInversePair:
@@ -170,6 +150,6 @@ class TestHelpers:
 
     def test_isqrt_bounds(self):
         for x in list(range(0, 200)) + [10 ** 12, 10 ** 12 + 1]:
-            f, c = isqrt_floor(x), isqrt_ceil(x)
+            f, c = math.isqrt(x), isqrt_ceil(x)
             assert f * f <= x and (f + 1) * (f + 1) > x
             assert c * c >= x and (c == 0 or (c - 1) * (c - 1) < x)

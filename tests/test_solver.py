@@ -8,7 +8,7 @@ from sumdisc.fourier import quadrature_sum_sq, sum_sq_disc
 from sumdisc.hypergraph import CapExceeded, Coloring, color_value
 from sumdisc.solver import (DiscReport, FamilyMismatch, TwoNormEngine,
                             exact_discrepancy, local_search_upper,
-                            random_coloring_upper, two_norm_lower)
+                            random_coloring_upper)
 
 
 @pytest.fixture(scope="module")
@@ -21,18 +21,18 @@ class TestTwoNorm:
         for n, seed in ((64, 0), (576, 1)):
             fam = build_family(FamilyConfig(n=n))
             chi = Coloring.random(n, seed=seed)
-            bound = two_norm_lower(chi, fam)
+            bound = TwoNormEngine(fam).evaluate(chi)
             direct = sum(sum_sq_disc(chi, e) for e in fam.all_edges())
             assert bound.total == direct
 
     def test_guaranteed_bounds_for_all_coloring_shapes(self):
         n = 576
-        fam = build_family(FamilyConfig(n=n))
+        engine = TwoNormEngine(build_family(FamilyConfig(n=n)))
         colorings = [Coloring.all_plus(n), Coloring.alternating(n),
                      Coloring.block(n)]
         colorings += [Coloring.random(n, seed=s) for s in range(10)]
         for chi in colorings:
-            bound = two_norm_lower(chi, fam)
+            bound = engine.evaluate(chi)
             assert 90000 * bound.total >= n ** 3
             assert 1440000 * bound.witness_value ** 2 > n
             # witness value really is the color value of that translate
@@ -44,7 +44,7 @@ class TestTwoNorm:
         for n in (16, 32, 64):
             fam = build_family(FamilyConfig(n=n))
             chi = Coloring.random(n, seed=n)
-            bound = two_norm_lower(chi, fam)
+            bound = TwoNormEngine(fam).evaluate(chi)
             maxspan = max(e.span for e in fam.all_edges())
             quad = quadrature_sum_sq(chi, list(fam.all_edges()),
                                      2 * (n + maxspan) + 1)
@@ -53,21 +53,21 @@ class TestTwoNorm:
     def test_family_mismatch(self):
         fam = build_family(FamilyConfig(n=64))
         with pytest.raises(FamilyMismatch):
-            two_norm_lower(Coloring.random(32, seed=0), fam)
+            TwoNormEngine(fam).evaluate(Coloring.random(32, seed=0))
 
     def test_engine_reuse_consistent(self):
         fam = build_family(FamilyConfig(n=100))
         engine = TwoNormEngine(fam)
         chi = Coloring.random(100, seed=5)
         assert engine.evaluate(chi).total == engine.evaluate(chi).total
-        assert engine.evaluate(chi).total == two_norm_lower(chi, fam).total
+        assert engine.evaluate(chi).total == TwoNormEngine(fam).evaluate(chi).total
 
     def test_averaging_inequality(self):
         # max_(E,a) |chi(E_a)|^2 >= S / (2n * |family|)
         n = 576
-        fam = build_family(FamilyConfig(n=n))
+        engine = TwoNormEngine(build_family(FamilyConfig(n=n)))
         for seed in range(5):
-            bound = two_norm_lower(Coloring.random(n, seed=seed), fam)
+            bound = engine.evaluate(Coloring.random(n, seed=seed))
             assert bound.witness_value ** 2 * 2 * n * bound.n_edges >= bound.total
 
 
