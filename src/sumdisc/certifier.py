@@ -17,9 +17,13 @@ approximated by a fraction a1/d1 with denominator d1 <= sqrt(n):
   scale-k part of the family and gives >= n/288.
 
 Every structural step (branch selection, interval membership, coprimality,
-scale bounds, phase-budget hypotheses) is checked in exact integer or
-rational arithmetic and raises InternalInvariantViolation on failure;
-floating point only enters when the final magnitude is measured.
+scale bounds, phase-budget hypotheses) is an integer comparison: for
+alpha = p/q each threshold on an error |d*alpha - a| is cross-multiplied
+into a test on |d*p - a*q| against q, and a failed check raises
+InternalInvariantViolation (also under ``python -O``).  The only rationals
+built per alpha are the case-3 ``Certificate.d`` and the case-2
+``DirichletWitness.err``; floating point only enters when the final
+magnitude is measured.
 """
 
 from __future__ import annotations
@@ -33,9 +37,8 @@ from typing import Iterable, Iterator
 from .family import (in_m_interval, kbar, length1_at_scale, length2_at_scale)
 from .fourier import indicator_fourier
 from .hypergraph import SumEdge, edge_cardinality
-from .numtheory import InternalInvariantViolation
-from .numtheory import check_invariant as _check
-from .numtheory import dirichlet_approx, mod_inverse_pair, nearest_int
+from .numtheory import (InternalInvariantViolation, dirichlet_approx,
+                        first_convergent, mod_inverse_pair)
 
 MIN_N = 576
 TOL_SCALE = 1e-6
@@ -97,29 +100,31 @@ def select_delta1(alpha: Fraction, n: int) -> tuple[int, int]:
     nearest integer a, returned as a reduced pair (d, a).
 
     Existence follows from the pigeonhole bound |d*alpha - a| <= 1/(Q+1)
-    with Q = floor(sqrt(n)), and Q+1 > sqrt(n).  Dividing out gcd(a, d)
-    only shrinks both the denominator and the error.
+    with Q = floor(sqrt(n)), and Q+1 > sqrt(n).  The smallest such d is a
+    convergent denominator of alpha, so the walk over convergents
+    (``first_convergent``) finds it.  Dividing out gcd(a, d) only shrinks
+    both the denominator and the error.
     """
-    if not (0 <= alpha < 1):
-        raise ValueError("alpha must lie in [0, 1)")
     p, q = alpha.numerator, alpha.denominator
-    for delta in range(1, math.isqrt(n) + 1):
-        t = delta * p
-        a = nearest_int(t, q)
-        r = abs(t - a * q)
-        # |delta*alpha - a| < n**-0.5  <=>  n*r*r < q*q
-        if n * r * r < q * q:
-            g = math.gcd(a, delta)
-            return delta // g, a // g
-    raise InternalInvariantViolation(
-        "dirichlet-existence",
-        f"no denominator <= sqrt({n}) approximates {alpha} within n**-0.5")
+    if not 0 <= p < q:
+        raise ValueError("alpha must lie in [0, 1)")
+    qq = q * q
+    # |delta*alpha - a| < n**-0.5  <=>  n*r*r < q*q
+    hit = first_convergent(p, q, math.isqrt(n), lambda r: n * r * r < qq)
+    if hit is None:
+        raise InternalInvariantViolation(
+            "dirichlet-existence",
+            f"no denominator <= sqrt({n}) approximates {alpha} within n**-0.5")
+    delta, a, _ = hit
+    g = math.gcd(a, delta)
+    return delta // g, a // g
 
 
 def classify_case(alpha: Fraction, delta1: int, a1: int, n: int) -> int:
-    """Branch tag from exact comparison of |alpha - a1/d1| against 1/n."""
-    err = abs(alpha - Fraction(a1, delta1))
-    if err < Fraction(1, n):
+    """Branch tag from exact comparison of |alpha - a1/d1| against 1/n:
+    with E = |d1*p - a1*q| for alpha = p/q, the error is E/(q*d1)."""
+    p, q = alpha.numerator, alpha.denominator
+    if abs(delta1 * p - a1 * q) * n < q * delta1:
         return 1 if delta1 <= 24 else 2
     return 3
 
@@ -129,19 +134,28 @@ def certify(alpha: Fraction, n: int, tol_scale: float = TOL_SCALE) -> Certificat
 
     The returned edge always belongs to the built family for n, and
     ``measured >= certified_bound - tol_scale * n``.
+
+    Every branch decision and check compares integers: for alpha = p/q
+    the base error |alpha - a1/d1| is E/(q*d1) with E = |d1*p - a1*q|, and
+    each threshold is cross-multiplied against it.
     """
     if not isinstance(alpha, Fraction):
         alpha = Fraction(alpha)
-    if not (0 <= alpha < 1):
+    p, q = alpha.numerator, alpha.denominator
+    if not 0 <= p < q:
         raise ValueError("alpha must lie in [0, 1)")
     if n < MIN_N:
         raise BelowMinN(f"n={n} < {MIN_N}")
 
     delta1, a1 = select_delta1(alpha, n)
-    err1 = abs(alpha - Fraction(a1, delta1))
-    # |alpha - a1/d1| < n**-0.5 / d1, exactly
-    _check(err1.numerator ** 2 * n * delta1 ** 2 < err1.denominator ** 2,
-           "initial-approximation", f"err {err1} >= n**-0.5/{delta1}")
+    signed = delta1 * p - a1 * q
+    e1 = abs(signed)
+    qq = q * q
+    # |alpha - a1/d1| < n**-0.5 / d1  <=>  E^2 * n < q^2
+    if not e1 * e1 * n < qq:
+        raise InternalInvariantViolation(
+            "initial-approximation",
+            f"err {e1}/{q * delta1} >= n**-0.5/{delta1}")
     case = classify_case(alpha, delta1, a1, n)
 
     if case == 1:
@@ -153,88 +167,106 @@ def certify(alpha: Fraction, n: int, tol_scale: float = TOL_SCALE) -> Certificat
         l1 = (n + 12 * delta1 - 1) // (12 * delta1)
         wit = dirichlet_approx(alpha, delta1 - 1)
         delta2, a2 = wit.delta, wit.a
-        _check(math.gcd(delta1, delta2) == 1, "coprime-denominators",
-               f"gcd({delta1},{delta2}) != 1")
+        if math.gcd(delta1, delta2) != 1:
+            raise InternalInvariantViolation(
+                "coprime-denominators", f"gcd({delta1},{delta2}) != 1")
         l2 = (delta1 - 1 + 11) // 12
         edge = SumEdge(d1=delta1, l1=l1, d2=delta2, l2=l2)
-        card = edge_cardinality(edge)
-        _check(card.collision_free and card.value == l1 * l2,
-               "injective-sumset", f"collisions in {edge}")
-        _check(150 * l1 * l2 >= n, "size-bound",
-               f"|E| = {l1 * l2} < n/150")
-        _phase_budget_checks(alpha, delta1, a1, l1, delta2, a2, l2)
+        _size_checks(edge, 150, n)
+        _phase_budget_checks(p, q, e1, l1, delta2, a2, l2)
         return _finish(alpha, n, case, delta1, a1, edge, n / 300, tol_scale,
                        delta2=delta2, a2=a2)
 
     # case 3: approximation error at least 1/n selects a dyadic scale
-    _check(err1 >= Fraction(1, n), "branch-threshold", "err < 1/n in branch 3")
-    u, v = err1.numerator, err1.denominator
+    if not e1 * n >= q * delta1:
+        raise InternalInvariantViolation("branch-threshold", "err < 1/n in branch 3")
     k = 0
-    # increase k while err1 < 2**-(k+1) * n**-0.5 / d1
-    while ((u * delta1) << (k + 1)) ** 2 * n < v ** 2:
+    # increase k while err1 < 2**-(k+1) * n**-0.5 / d1, i.e. (E*2^(k+1))^2 * n < q^2
+    while (e1 << (k + 1)) ** 2 * n < qq:
         k += 1
-    _check(k <= kbar(n, delta1), "scale-range",
-           f"k={k} > kbar={kbar(n, delta1)}")
+    if k > kbar(n, delta1):
+        raise InternalInvariantViolation(
+            "scale-range", f"k={k} > kbar={kbar(n, delta1)}")
     # err1 in [2**-(k+1), 2**-k) * n**-0.5 / d1, exactly
-    _check(((u * delta1) << (k + 1)) ** 2 * n >= v ** 2, "scale-lower",
-           f"err {err1} below scale-{k} shell")
-    _check(((u * delta1) << k) ** 2 * n < v ** 2, "scale-upper",
-           f"err {err1} at or above scale-{k} shell")
+    if not (e1 << (k + 1)) ** 2 * n >= qq:
+        raise InternalInvariantViolation(
+            "scale-lower", f"err {e1}/{q * delta1} below scale-{k} shell")
+    if not (e1 << k) ** 2 * n < qq:
+        raise InternalInvariantViolation(
+            "scale-upper", f"err {e1}/{q * delta1} at or above scale-{k} shell")
 
-    s = 1 if alpha > Fraction(a1, delta1) else -1
+    s = 1 if signed > 0 else -1
     if delta1 == 1:
         gamma = None
         b = 1
     else:
-        pair = mod_inverse_pair(a1, delta1)
-        gamma = pair.k
+        gamma = mod_inverse_pair(a1, delta1).k
         b = delta1 - gamma if s == 1 else gamma
-    _check((b * a1 + s) % delta1 == 0, "inverse-residue",
-           f"b*a1 + s not divisible by d1 (b={b}, a1={a1}, s={s})")
+    if (b * a1 + s) % delta1 != 0:
+        raise InternalInvariantViolation(
+            "inverse-residue",
+            f"b*a1 + s not divisible by d1 (b={b}, a1={a1}, s={s})")
     mu = (b * a1 + s) // delta1
 
+    # d = 1/(err1 * 4^k * d1^2) - b/(4^k * d1) = (q - b*E) / (E * 4^k * d1)
     four_k = 4 ** k
-    d = 1 / (err1 * four_k * delta1 ** 2) - Fraction(b, four_k * delta1)
-    ceil_d = math.ceil(d)
-    delta2 = b + ceil_d * four_k * delta1
-    _check(in_m_interval(n, delta1, k, delta2), "interval-membership",
-           f"d2={delta2} outside the scale-{k} interval")
-    _check(math.gcd(delta1, delta2) == 1, "coprime-denominators",
-           f"gcd({delta1},{delta2}) != 1")
+    step = four_k * delta1
+    d_num, d_den = q - b * e1, e1 * step
+    ceil_d = -(-d_num // d_den)
+    delta2 = b + ceil_d * step
+    if not in_m_interval(n, delta1, k, delta2):
+        raise InternalInvariantViolation(
+            "interval-membership", f"d2={delta2} outside the scale-{k} interval")
+    if math.gcd(delta1, delta2) != 1:
+        raise InternalInvariantViolation(
+            "coprime-denominators", f"gcd({delta1},{delta2}) != 1")
 
     l1 = length1_at_scale(n, k)
     l2 = length2_at_scale(n, k)
-    _check(delta2 > l1, "second-difference-dominates", f"d2={delta2} <= l1={l1}")
+    if not delta2 > l1:
+        raise InternalInvariantViolation(
+            "second-difference-dominates", f"d2={delta2} <= l1={l1}")
     a2 = mu + ceil_d * four_k * a1
-    _phase_budget_checks(alpha, delta1, a1, l1, delta2, a2, l2)
+    _phase_budget_checks(p, q, e1, l1, delta2, a2, l2)
     edge = SumEdge(d1=delta1, l1=l1, d2=delta2, l2=l2)
-    card = edge_cardinality(edge)
-    _check(card.collision_free and card.value == l1 * l2,
-           "injective-sumset", f"collisions in {edge}")
-    _check(144 * l1 * l2 >= n, "size-bound", f"|E| = {l1 * l2} < n/144")
+    _size_checks(edge, 144, n)
     return _finish(alpha, n, 3, delta1, a1, edge, n / 288, tol_scale,
-                   delta2=delta2, a2=a2, k=k, s=s, gamma=gamma, b=b, d=d, mu=mu)
+                   delta2=delta2, a2=a2, k=k, s=s, gamma=gamma, b=b,
+                   d=Fraction(d_num, d_den), mu=mu)
 
 
-def _phase_budget_checks(alpha: Fraction, delta1: int, a1: int, l1: int,
+def _size_checks(edge: SumEdge, c: int, n: int) -> None:
+    """The edge's l1*l2 lattice points are distinct and at least n/c."""
+    card = edge_cardinality(edge)
+    size = edge.l1 * edge.l2
+    if not (card.collision_free and card.value == size):
+        raise InternalInvariantViolation("injective-sumset", f"collisions in {edge}")
+    if not c * size >= n:
+        raise InternalInvariantViolation("size-bound", f"|E| = {size} < n/{c}")
+
+
+def _phase_budget_checks(p: int, q: int, e1: int, l1: int,
                          delta2: int, a2: int, l2: int) -> None:
-    """Exact per-progression phase budgets |d*alpha - a| <= 1/(12*(L-1)).
+    """Exact per-progression phase budgets |d*alpha - a| <= 1/(12*(L-1)),
+    as |d*p - a*q| * 12*(L-1) <= q; ``e1`` is |d1*p - a1*q|.
 
     A length-1 progression contributes no phase, so its budget is vacuous.
     """
-    if l1 > 1:
-        _check(abs(delta1 * alpha - a1) <= Fraction(1, 12 * (l1 - 1)),
-               "phase-budget-1", f"|d1*alpha - a1| too large for l1={l1}")
-    if l2 > 1:
-        _check(abs(delta2 * alpha - a2) <= Fraction(1, 12 * (l2 - 1)),
-               "phase-budget-2", f"|d2*alpha - a2| too large for l2={l2}")
+    if l1 > 1 and not e1 * 12 * (l1 - 1) <= q:
+        raise InternalInvariantViolation(
+            "phase-budget-1", f"|d1*alpha - a1| too large for l1={l1}")
+    if l2 > 1 and not abs(delta2 * p - a2 * q) * 12 * (l2 - 1) <= q:
+        raise InternalInvariantViolation(
+            "phase-budget-2", f"|d2*alpha - a2| too large for l2={l2}")
 
 
 def _finish(alpha: Fraction, n: int, case: int, delta1: int, a1: int,
             edge: SumEdge, bound: float, tol_scale: float, **extra) -> Certificate:
     measured = abs(indicator_fourier(edge, alpha))
-    _check(measured >= bound - tol_scale * n, "magnitude-bound",
-           f"measured {measured:.6f} < bound {bound:.6f} at alpha={alpha}")
+    if not measured >= bound - tol_scale * n:
+        raise InternalInvariantViolation(
+            "magnitude-bound",
+            f"measured {measured:.6f} < bound {bound:.6f} at alpha={alpha}")
     return Certificate(alpha=alpha, n=n, case_tag=case, delta1=delta1, a1=a1,
                        edge=edge, certified_bound=bound, measured=measured,
                        **extra)

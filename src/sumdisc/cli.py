@@ -139,8 +139,9 @@ def _cert_row(cert: certifier.Certificate) -> list:
 
 @main.command("sweep")
 @click.option("--n", type=_POSITIVE, required=True)
-@click.option("--grid", type=int, default=1000, show_default=True)
-@click.option("--random", "n_random", type=int, default=0, show_default=True)
+@click.option("--grid", type=_POSITIVE, default=1000, show_default=True)
+@click.option("--random", "n_random", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--adversarial/--no-adversarial", default=True, show_default=True)
 @click.option("--tol-scale", type=float, default=certifier.TOL_SCALE,
@@ -179,8 +180,8 @@ def sweep_cmd(n: int, grid: int, n_random: int, seed: int, adversarial: bool,
 @click.option("--n", type=_POSITIVE, required=True)
 @click.option("--method", type=click.Choice(["exact", "local", "random"]),
               required=True)
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--restarts", type=int, default=20, show_default=True)
+@click.option("--trials", type=_POSITIVE, default=100, show_default=True)
+@click.option("--restarts", type=_POSITIVE, default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default="-", show_default=True)
 def disc_cmd(n: int, method: str, trials: int, restarts: int, seed: int,
@@ -207,11 +208,19 @@ def _parse_colorings(spec: str, n: int, seed: int) -> list[tuple[str, Coloring]]
         elif part == "block":
             out.append(("block", Coloring.block(n)))
         elif part.startswith("random:"):
-            count = int(part.split(":", 1)[1])
+            try:
+                count = int(part.split(":", 1)[1])
+            except ValueError:
+                count = 0
+            if count < 1:
+                raise click.BadParameter(
+                    f"random:<count> needs a positive integer count, got {part!r}",
+                    param_hint="--colorings")
             for i in range(count):
                 out.append((f"random{i}", Coloring.random(n, seed + i)))
         else:
-            raise click.BadParameter(f"unknown coloring spec {part!r}")
+            raise click.BadParameter(f"unknown coloring spec {part!r}",
+                                     param_hint="--colorings")
     return out
 
 
@@ -222,9 +231,10 @@ def _parse_colorings(spec: str, n: int, seed: int) -> list[tuple[str, Coloring]]
 @click.option("--out", default="-", show_default=True)
 def twonorm_cmd(n: int, colorings: str, seed: int, out: str) -> None:
     """Averaging lower bound over the family, one CSV row per coloring."""
+    named = _parse_colorings(colorings, n, seed)
     engine = solver.TwoNormEngine(family.build_family(family.FamilyConfig(n=n)))
     rows = []
-    for name, chi in _parse_colorings(colorings, n, seed):
+    for name, chi in named:
         bnd = engine.evaluate(chi)
         ok = (90000 * bnd.total >= n ** 3
               and 1440000 * bnd.witness_value ** 2 > n)
@@ -241,7 +251,7 @@ def twonorm_cmd(n: int, colorings: str, seed: int, out: str) -> None:
 @click.option("--l1", type=_POSITIVE, required=True)
 @click.option("--d2", type=_POSITIVE, required=True)
 @click.option("--l2", type=_POSITIVE, required=True)
-@click.option("--grid", type=int, default=256, show_default=True)
+@click.option("--grid", type=_POSITIVE, default=256, show_default=True)
 @click.option("--out", default="-", show_default=True)
 def spectrum_cmd(d1: int, l1: int, d2: int, l2: int, grid: int, out: str) -> None:
     """Magnitudes of one edge's exponential sum on the grid t/m."""
@@ -255,10 +265,10 @@ def spectrum_cmd(d1: int, l1: int, d2: int, l2: int, grid: int, out: str) -> Non
 
 @main.command("verify-lemmas")
 @click.option("--n", type=_POSITIVE, required=True)
-@click.option("--grid", type=int, default=2000, show_default=True,
+@click.option("--grid", type=_POSITIVE, default=2000, show_default=True,
               help="sweep grid size for the certification check")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=200, show_default=True,
+@click.option("--trials", type=_POSITIVE, default=200, show_default=True,
               help="random edges for the cardinality oracle check")
 def verify_lemmas_cmd(n: int, grid: int, seed: int, trials: int) -> None:
     """Run the verification suite and exit 0 only if every check holds."""

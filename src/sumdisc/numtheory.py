@@ -3,9 +3,12 @@
 Everything in this module is exact: rationals are stored reduced with a
 positive denominator (``fractions.Fraction``), and all comparisons against
 irrational thresholds of the form ``c * sqrt(n)`` are done by integer
-squaring instead of floating point.  The rest of the package routes every
-branch decision through these primitives; floats only ever appear when a
-complex exponential is finally evaluated.
+squaring instead of floating point.  Rational approximation walks the
+continued-fraction convergents of ``p/q`` (``first_convergent``) and
+decides each step by an integer comparison on ``|d*p - a*q|`` against
+``q``; no rational number is formed on the way.  The rest of the package
+routes every branch decision through such integer comparisons; floats only
+ever appear when a complex exponential is finally evaluated.
 
 Proved facts are checked everywhere with ``check_invariant`` or by raising
 ``InternalInvariantViolation``; unlike ``assert``, both run under
@@ -18,6 +21,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from typing import Callable
 
 
 class NotCoprime(ValueError):
@@ -112,6 +117,36 @@ def mod_inverse_pair(a: int, delta: int) -> InversePair:
     return InversePair(k=k, k_neg=delta - k)
 
 
+def first_convergent(p: int, q: int, limit: int,
+                     accept: Callable[[int], bool]) -> tuple[int, int, int] | None:
+    """First convergent denominator d <= limit of p/q (q >= 1) whose error
+    passes ``accept``, as ``(d, a, r)`` with ``a = nearest_int(d*p, q)`` and
+    ``r = |d*p - a*q|``; None if no convergent up to ``limit`` passes.
+
+    ``accept(r)`` must be a threshold test ``||d*p/q|| < eps`` written on
+    the integer r.  Then the answer is the smallest d in [1, limit] that
+    passes at all: for 1 <= d < q_{i+1}, ||d*alpha|| >= ||q_i*alpha||
+    (Lagrange; Khinchin, *Continued Fractions*, Sec. 6; Hardy & Wright,
+    Ch. X), so the smallest qualifying d is a best approximation of the
+    second kind and hence a convergent denominator q_i.  The walk takes
+    O(log q) steps.
+    """
+    x, y = p % q, q            # Euclid on (p - floor(p/q)*q)/q
+    d_prev, d = 0, 1           # q_{-1}, q_0
+    while d <= limit:
+        t = d * p
+        a = nearest_int(t, q)
+        r = abs(t - a * q)
+        if accept(r):
+            return d, a, r
+        if x == 0:             # d = q: r == 0, the last convergent
+            return None
+        c, rem = divmod(y, x)
+        x, y = rem, x
+        d_prev, d = d, c * d + d_prev
+    return None
+
+
 @dataclass(frozen=True)
 class DirichletWitness:
     """A denominator delta in [1, k] whose multiple of alpha is within 1/k
@@ -127,32 +162,43 @@ def dirichlet_approx(alpha: Fraction, k: int) -> DirichletWitness:
     integer a; a is the nearest integer to delta * alpha (ties toward zero).
 
     Existence is the classical pigeonhole fact for one-dimensional
-    approximation, so a completed scan without a hit is an internal bug.
-    The scan is O(k) exact integer operations.
+    approximation, so a walk without a hit is an internal bug.  The walk
+    visits the O(log q) convergent denominators of alpha
+    (``first_convergent``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not (0 <= alpha < 1):
-        raise ValueError("alpha must lie in [0, 1)")
     p, q = alpha.numerator, alpha.denominator
-    for delta in range(1, k + 1):
-        t = delta * p
-        a = nearest_int(t, q)
-        r = abs(t - a * q)
-        # |delta*alpha - a| < 1/k  <=>  r*k < q
-        if r * k < q:
-            return DirichletWitness(delta=delta, a=a, err=Fraction(r, q))
-    raise InternalInvariantViolation(
-        "dirichlet-existence",
-        f"no denominator <= {k} approximates {alpha} within 1/{k}; "
-        "this contradicts the pigeonhole principle")
+    if not 0 <= p < q:
+        raise ValueError("alpha must lie in [0, 1)")
+    # |delta*alpha - a| < 1/k  <=>  r*k < q
+    hit = first_convergent(p, q, k, lambda r: r * k < q)
+    if hit is None:
+        raise InternalInvariantViolation(
+            "dirichlet-existence",
+            f"no denominator <= {k} approximates {alpha} within 1/{k}; "
+            "this contradicts the pigeonhole principle")
+    delta, a, r = hit
+    return DirichletWitness(delta=delta, a=a, err=Fraction(r, q))
 
 
 def totatives(delta: int) -> list[int]:
     """All b in [1, delta] with gcd(b, delta) == 1, in increasing order.
 
     For delta == 1 this is [1].  The length is Euler's phi of delta.
+    Sieves out the multiples of each prime factor of delta.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    return [b for b in range(1, delta + 1) if math.gcd(b, delta) == 1]
+    keep = bytearray(b"\x01") * (delta + 1)
+    keep[0] = 0
+    rest, f = delta, 2
+    while rest > 1:
+        if f * f > rest:
+            f = rest                   # what is left is prime
+        if rest % f == 0:
+            keep[f::f] = bytes(delta // f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    return list(compress(range(delta + 1), keep))

@@ -201,6 +201,23 @@ e3_edges = family._e3_edges
 family._e3_edges = lambda n: e3_edges(n) * (6 * n)
 family.build_family(family.FamilyConfig(n=100))
 """,
+    "certifier initial-approximation": """
+from fractions import Fraction
+from sumdisc import certifier
+certifier.select_delta1 = lambda alpha, n: (1, 0)
+certifier.certify(Fraction(1, 3), 1024)
+""",
+    "certifier phase-budget-2": """
+from fractions import Fraction
+from sumdisc import certifier
+from sumdisc.numtheory import DirichletWitness
+approx = certifier.dirichlet_approx
+def off_by_one(alpha, k):
+    wit = approx(alpha, k)
+    return DirichletWitness(wit.delta, wit.a + 1, wit.err)
+certifier.dirichlet_approx = off_by_one
+certifier.certify(Fraction(4, 27), 1024)
+""",
 }
 
 

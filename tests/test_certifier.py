@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumdisc.certifier import (MIN_N, TOL_SCALE, BelowMinN, Certificate,
                                InternalInvariantViolation, certify,
@@ -35,6 +39,19 @@ class TestSelectDelta1:
             assert math.gcd(a1, d1) == 1 or (a1 == 0 and d1 == 1)
             err = abs(d1 * alpha - a1)
             assert err.numerator ** 2 * n < err.denominator ** 2
+
+    def test_smallest_denominator(self):
+        # no d < d1 comes within n**-0.5 of an integer
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.choice([576, 4096, 10 ** 5, 2 ** 18])
+            q = rng.randint(1, 10 ** rng.choice([3, 6, 18]))
+            alpha = Fraction(rng.randint(0, q - 1), q)
+            d1, _ = select_delta1(alpha, n)
+            for d in range(1, d1):
+                dist = min(d * alpha - math.floor(d * alpha),
+                           math.ceil(d * alpha) - d * alpha)
+                assert dist.numerator ** 2 * n >= dist.denominator ** 2
 
 
 class TestClassify:
@@ -168,6 +185,55 @@ class TestCertify:
         assert rec["alpha"] == "1/200" and rec["d"] == "199/1"
 
 
+@st.composite
+def alpha_and_n(draw):
+    """n in [576, 10**7] and alpha = p/q with q <= 10**18: either a random
+    rational or a rational a/d with d <= sqrt(n) moved by about 1/n, which
+    straddles the branch-1/branch-3 threshold and reaches branch 2."""
+    n = draw(st.integers(min_value=MIN_N, max_value=10 ** 7))
+    if draw(st.booleans()):
+        q = draw(st.integers(min_value=1, max_value=10 ** 18))
+        return Fraction(draw(st.integers(min_value=0, max_value=q - 1)), q), n
+    d = draw(st.integers(min_value=1, max_value=math.isqrt(n)))
+    a = draw(st.integers(min_value=0, max_value=d))
+    q2 = draw(st.integers(min_value=1, max_value=10 ** 18 // d))
+    t = draw(st.integers(min_value=-(3 * q2) // n - 1, max_value=(3 * q2) // n + 1))
+    alpha = Fraction(a, d) + Fraction(t, q2)
+    if not 0 <= alpha < 1:
+        alpha = Fraction(a % d, d)
+    return alpha, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=alpha_and_n())
+def test_certify_property(case):
+    """The certified bound holds; the branch and both phase budgets are
+    re-derived in Fraction arithmetic, apart from certify's integer tests."""
+    alpha, n = case
+    cert = certify(alpha, n)
+    assert cert.measured >= cert.certified_bound - 1e-6 * n
+    d1, a1, e = cert.delta1, cert.a1, cert.edge
+    err = abs(alpha - Fraction(a1, d1))
+    assert (err * d1) ** 2 * n < 1
+    if err < Fraction(1, n):
+        assert cert.case_tag == (1 if d1 <= 24 else 2)
+    else:
+        assert cert.case_tag == 3
+    if cert.case_tag == 1:
+        assert (e.l1 - 1) * abs(d1 * alpha - a1) < Fraction(1, 6)
+        return
+    if e.l1 > 1:
+        assert abs(d1 * alpha - a1) <= Fraction(1, 12 * (e.l1 - 1))
+    if e.l2 > 1:
+        assert abs(cert.delta2 * alpha - cert.a2) <= Fraction(1, 12 * (e.l2 - 1))
+    if cert.case_tag == 3:
+        four_k = 4 ** cert.k
+        shell = err * d1 * 2 ** cert.k
+        assert (2 * shell) ** 2 * n >= 1 and shell ** 2 * n < 1
+        assert cert.d == 1 / (err * four_k * d1 ** 2) - Fraction(cert.b, four_k * d1)
+        assert cert.delta2 == cert.b + math.ceil(cert.d) * four_k * d1
+
+
 class TestSweep:
     @pytest.mark.parametrize("n", [1024, 4096])
     def test_reduced_sweep_reverified(self, n):
@@ -210,3 +276,34 @@ class TestSweep:
         inside = certify(base + Fraction(1, n) - Fraction(1, n * n), n)
         assert at.case_tag == 3      # err == 1/n is not < 1/n
         assert inside.case_tag == 1  # err just below 1/n, d1 = 3
+
+
+def _golden_sample(n: int) -> list[Fraction]:
+    """The sweep recipe plus 500 seeded rationals with q <= 10**18."""
+    alphas = sweep_alphas(n, 500, n_random=500, seed=1)
+    rng = random.Random(n)
+    for _ in range(500):
+        q = rng.randint(1, 10 ** 18)
+        alphas.append(Fraction(rng.randint(0, q - 1), q))
+    return alphas
+
+
+# SHA-256 of the certificates' JSON lines, taken before certify() moved from
+# Fraction arithmetic to integer comparisons; pins every field, a2, gamma,
+# b, d and mu included.
+GOLDEN_CERTIFICATES = [
+    (576, 3792, "135d25af6c9e34e27c4250d2750e4b826ef72be92b36b5e6d164a6ce2b89e8f2"),
+    (4096, 4540, "5fe446192aa706b86c3eb2f179f789edec557a865f307938137ade1d185ef390"),
+    (2 ** 18, 11360, "8c43ab3f8bcc47b2a7731af021148437b68af33f1d752fe541ce0d669a83a917"),
+    (10 ** 7, 47616, "43c445175d8adce2f746d9a7f0d06122d673a751657ddcac93d22c4b8d560f22"),
+]
+
+
+@pytest.mark.parametrize("n, count, digest", GOLDEN_CERTIFICATES)
+def test_golden_certificates(n, count, digest):
+    alphas = _golden_sample(n)
+    assert len(alphas) == count
+    h = hashlib.sha256()
+    for alpha in alphas:
+        h.update((json.dumps(certify(alpha, n).to_json_dict()) + "\n").encode())
+    assert h.hexdigest() == digest

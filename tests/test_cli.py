@@ -234,6 +234,28 @@ class TestFailureClasses:
         assert res.exit_code == 2
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--d1", "2", "--l1", "3", "--d2", "3", "--l2", "2",
+         "--grid", "0"],
+        ["sweep", "--n", "1024", "--grid", "-5", "--no-adversarial"],
+        ["sweep", "--n", "1024", "--grid", "0"],
+        ["sweep", "--n", "1024", "--grid", "8", "--random", "-1"],
+        ["disc", "--n", "8", "--method", "random", "--trials", "-3"],
+        ["disc", "--n", "8", "--method", "random", "--trials", "0"],
+        ["disc", "--n", "8", "--method", "local", "--restarts", "0"],
+        ["verify-lemmas", "--n", "576", "--grid", "0"],
+        ["verify-lemmas", "--n", "576", "--trials", "-1"],
+        ["twonorm", "--n", "576", "--colorings", "random:x"],
+        ["twonorm", "--n", "576", "--colorings", "random:-2"],
+        ["twonorm", "--n", "576", "--colorings", "ones,random:0"],
+        ["twonorm", "--n", "576", "--colorings", "ones,stripes"],
+        ["twonorm", "--n", "576", "--colorings", "random:\u00b2"],
+    ])
+    def test_bad_count_is_usage_error(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_invariant_violation_pickles(self):
         exc = InternalInvariantViolation("magnitude-bound", "measured 0 < bound 4")
         again = pickle.loads(pickle.dumps(exc))

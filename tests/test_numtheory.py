@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumdisc.certifier import select_delta1
 from sumdisc.numtheory import (DegenerateModulus, DirichletWitness, NotCoprime,
-                               dirichlet_approx, isqrt_ceil, mod_inverse_pair,
-                               nearest_int, totatives)
+                               dirichlet_approx, first_convergent, isqrt_ceil,
+                               mod_inverse_pair, nearest_int, totatives)
 
 
 class TestInversePair:
@@ -106,6 +107,94 @@ class TestDirichlet:
             k = rng.randint(1, 60)
             wit = dirichlet_approx(alpha, k)
             assert (wit.delta, wit.a, wit.err) == self.brute_witness(alpha, k)
+
+
+def scan_rows(p, q, limit):
+    """(d, a, r) for every d in [1, limit]: a = nearest_int(d*p, q) and
+    r = |d*p - a*q|, in scan order."""
+    rows = []
+    for d in range(1, limit + 1):
+        t = d * p
+        a = nearest_int(t, q)
+        rows.append((d, a, abs(t - a * q)))
+    return rows
+
+
+def scan_first(rows, limit, accept):
+    """Linear-scan oracle for first_convergent: the first of the rows with
+    d <= limit whose r passes."""
+    for row in rows:
+        if row[0] > limit:
+            break
+        if accept(row[2]):
+            return row
+    return None
+
+
+def prefix_minima(rows):
+    """The rows whose r is below every earlier r.  Every row before the
+    first passing one has a larger r, so the scan over these rows alone
+    returns the same row as the scan over all of them."""
+    out = []
+    for row in rows:
+        if not out or row[2] < out[-1][2]:
+            out.append(row)
+    return out
+
+
+def scan_select_delta1(alpha, n, rows=None):
+    """The linear scan select_delta1 replaced: d up to isqrt(n)."""
+    p, q = alpha.numerator, alpha.denominator
+    lim = math.isqrt(n)
+    rows = scan_rows(p, q, lim) if rows is None else rows
+    d, a, _ = scan_first(rows, lim, lambda r: n * r * r < q * q)
+    g = math.gcd(a, d)
+    return d // g, a // g
+
+
+def scan_dirichlet(alpha, k, rows=None):
+    """The linear scan dirichlet_approx replaced: d up to k."""
+    p, q = alpha.numerator, alpha.denominator
+    rows = scan_rows(p, q, k) if rows is None else rows
+    d, a, r = scan_first(rows, k, lambda r: r * k < q)
+    return DirichletWitness(delta=d, a=a, err=Fraction(r, q))
+
+
+class TestConvergentWalk:
+    def test_exhaustive_small_denominators(self):
+        # every reduced p/q with q <= 150 and every limit up to q + 1; past
+        # that only r == 0 passes, so the answer no longer changes.  Both
+        # ends of each isqrt(n) == L range pin the select_delta1 threshold.
+        for q in range(1, 151):
+            for p in range(q):
+                if math.gcd(p, q) != 1:
+                    continue
+                alpha = Fraction(p, q)
+                rows = prefix_minima(scan_rows(p, q, q + 1))
+                lims = range(1, q + 2)
+                ns = [n for lim in lims for n in (lim * lim, (lim + 1) ** 2 - 1)]
+                assert [dirichlet_approx(alpha, k) for k in lims] == \
+                    [scan_dirichlet(alpha, k, rows) for k in lims]
+                assert [select_delta1(alpha, n) for n in ns] == \
+                    [scan_select_delta1(alpha, n, rows) for n in ns]
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.integers(min_value=1, max_value=10 ** 18),
+           data=st.data(),
+           n=st.integers(min_value=1, max_value=10 ** 8),
+           k=st.integers(min_value=1, max_value=10 ** 4))
+    def test_matches_scans(self, q, data, n, k):
+        p = data.draw(st.integers(min_value=0, max_value=q - 1))
+        alpha = Fraction(p, q)
+        assert select_delta1(alpha, n) == scan_select_delta1(alpha, n)
+        assert dirichlet_approx(alpha, k) == scan_dirichlet(alpha, k)
+
+    def test_no_pass_returns_none(self):
+        # 1/3 within 1/100 needs d = 3 > limit 2
+        assert first_convergent(1, 3, 2, lambda r: r * 100 < 3) is None
+        assert first_convergent(1, 3, 3, lambda r: r * 100 < 3) == (3, 1, 0)
+        assert first_convergent(1, 3, 10, lambda r: False) is None
+        assert scan_first(scan_rows(1, 3, 10), 10, lambda r: False) is None
 
 
 class TestTotatives:
