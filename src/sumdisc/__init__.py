@@ -11,7 +11,7 @@ from .certifier import Certificate, certify, classify_case, select_delta1
 from .family import FamilyConfig, FamilyE0, build_family, build_m_set, family_stats
 from .fourier import coloring_fourier, indicator_fourier, parseval_check, sum_sq_disc
 from .hypergraph import (Coloring, SumEdge, color_value, edge_cardinality,
-                         edge_elements, enumerate_canonical_edges)
+                         edge_elements)
 from .numtheory import dirichlet_approx, mod_inverse_pair, totatives
 from .solver import (DiscReport, TwoNormBound, TwoNormEngine, exact_discrepancy,
                      local_search_upper, random_coloring_upper)
@@ -23,7 +23,7 @@ __all__ = [
     "FamilyConfig", "FamilyE0", "build_family", "build_m_set", "family_stats",
     "coloring_fourier", "indicator_fourier", "parseval_check", "sum_sq_disc",
     "Coloring", "SumEdge", "color_value", "edge_cardinality",
-    "edge_elements", "enumerate_canonical_edges",
+    "edge_elements",
     "dirichlet_approx", "mod_inverse_pair", "totatives",
     "DiscReport", "TwoNormBound", "TwoNormEngine", "exact_discrepancy",
     "local_search_upper", "random_coloring_upper",

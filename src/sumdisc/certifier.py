@@ -32,7 +32,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .family import (in_m_interval, kbar, length1_at_scale, length2_at_scale)
 from .fourier import indicator_fourier
@@ -129,11 +128,11 @@ def classify_case(alpha: Fraction, delta1: int, a1: int, n: int) -> int:
     return 3
 
 
-def certify(alpha: Fraction, n: int, tol_scale: float = TOL_SCALE) -> Certificate:
+def certify(alpha: Fraction, n: int) -> Certificate:
     """Produce a certified witness edge for alpha.
 
     The returned edge always belongs to the built family for n, and
-    ``measured >= certified_bound - tol_scale * n``.
+    ``measured >= certified_bound - TOL_SCALE * n``.
 
     Every branch decision and check compares integers: for alpha = p/q
     the base error |alpha - a1/d1| is E/(q*d1) with E = |d1*p - a1*q|, and
@@ -161,7 +160,7 @@ def certify(alpha: Fraction, n: int, tol_scale: float = TOL_SCALE) -> Certificat
     if case == 1:
         l1 = (n + 6 * delta1 - 1) // (6 * delta1)
         edge = SumEdge(d1=delta1, l1=l1, d2=1, l2=1)
-        return _finish(alpha, n, case, delta1, a1, edge, n / 288, tol_scale)
+        return _finish(alpha, n, case, delta1, a1, edge, n / 288)
 
     if case == 2:
         l1 = (n + 12 * delta1 - 1) // (12 * delta1)
@@ -174,7 +173,7 @@ def certify(alpha: Fraction, n: int, tol_scale: float = TOL_SCALE) -> Certificat
         edge = SumEdge(d1=delta1, l1=l1, d2=delta2, l2=l2)
         _size_checks(edge, 150, n)
         _phase_budget_checks(p, q, e1, l1, delta2, a2, l2)
-        return _finish(alpha, n, case, delta1, a1, edge, n / 300, tol_scale,
+        return _finish(alpha, n, case, delta1, a1, edge, n / 300,
                        delta2=delta2, a2=a2)
 
     # case 3: approximation error at least 1/n selects a dyadic scale
@@ -230,7 +229,7 @@ def certify(alpha: Fraction, n: int, tol_scale: float = TOL_SCALE) -> Certificat
     _phase_budget_checks(p, q, e1, l1, delta2, a2, l2)
     edge = SumEdge(d1=delta1, l1=l1, d2=delta2, l2=l2)
     _size_checks(edge, 144, n)
-    return _finish(alpha, n, 3, delta1, a1, edge, n / 288, tol_scale,
+    return _finish(alpha, n, 3, delta1, a1, edge, n / 288,
                    delta2=delta2, a2=a2, k=k, s=s, gamma=gamma, b=b,
                    d=Fraction(d_num, d_den), mu=mu)
 
@@ -261,9 +260,9 @@ def _phase_budget_checks(p: int, q: int, e1: int, l1: int,
 
 
 def _finish(alpha: Fraction, n: int, case: int, delta1: int, a1: int,
-            edge: SumEdge, bound: float, tol_scale: float, **extra) -> Certificate:
+            edge: SumEdge, bound: float, **extra) -> Certificate:
     measured = abs(indicator_fourier(edge, alpha))
-    if not measured >= bound - tol_scale * n:
+    if not measured >= bound - TOL_SCALE * n:
         raise InternalInvariantViolation(
             "magnitude-bound",
             f"measured {measured:.6f} < bound {bound:.6f} at alpha={alpha}")
@@ -311,8 +310,3 @@ def sweep_alphas(n: int, grid: int, n_random: int = 0, seed: int = 0,
             out.append(a)
     return out
 
-
-def sweep(n: int, alphas: Iterable[Fraction],
-          tol_scale: float = TOL_SCALE) -> Iterator[Certificate]:
-    for alpha in alphas:
-        yield certify(alpha, n, tol_scale=tol_scale)

@@ -112,20 +112,17 @@ def family_cmd(n: int, fmt: str, out: str, stats: bool) -> None:
 @click.option("--n", type=_POSITIVE, required=True)
 @click.option("--alpha", callback=_parse_alpha, required=True,
               help="exact fraction p/q in [0, 1)")
-@click.option("--tol-scale", type=float, default=certifier.TOL_SCALE,
-              show_default=True, help="numeric tolerance as a multiple of n")
 @click.option("--out", default="-", show_default=True)
-def certify_cmd(n: int, alpha: Fraction, tol_scale: float, out: str) -> None:
+def certify_cmd(n: int, alpha: Fraction, out: str) -> None:
     """Certify one alpha and print the witness certificate as JSON."""
-    cert = certifier.certify(alpha, n, tol_scale=tol_scale)
+    cert = certifier.certify(alpha, n)
     with _output(out) as stream:
         stream.write(json.dumps(cert.to_json_dict()) + "\n")
 
 
 def _sweep_chunk(args: tuple) -> list[list]:
-    n, tol_scale, alphas = args
-    return [_cert_row(cert)
-            for cert in certifier.sweep(n, alphas, tol_scale=tol_scale)]
+    n, alphas = args
+    return [_cert_row(certifier.certify(alpha, n)) for alpha in alphas]
 
 
 def _cert_row(cert: certifier.Certificate) -> list:
@@ -144,13 +141,11 @@ def _cert_row(cert: certifier.Certificate) -> list:
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--adversarial/--no-adversarial", default=True, show_default=True)
-@click.option("--tol-scale", type=float, default=certifier.TOL_SCALE,
-              show_default=True)
-@click.option("--threads", type=int, default=os.cpu_count() or 1,
+@click.option("--threads", type=_POSITIVE, default=os.cpu_count() or 1,
               show_default="cores")
 @click.option("--out", default="-", show_default=True)
 def sweep_cmd(n: int, grid: int, n_random: int, seed: int, adversarial: bool,
-              tol_scale: float, threads: int, out: str) -> None:
+              threads: int, out: str) -> None:
     """Certify a whole alpha sample and emit one CSV row per point.
 
     The sample is cut into one chunk per requested thread; the chunks run
@@ -159,8 +154,8 @@ def sweep_cmd(n: int, grid: int, n_random: int, seed: int, adversarial: bool,
     """
     alphas = certifier.sweep_alphas(n, grid, n_random=n_random, seed=seed,
                                     adversarial=adversarial)
-    size = max(1, -(-len(alphas) // max(1, threads)))
-    chunks = [(n, tol_scale, alphas[i:i + size])
+    size = max(1, -(-len(alphas) // threads))
+    chunks = [(n, alphas[i:i + size])
               for i in range(0, len(alphas), size)]
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers > 1:
@@ -302,8 +297,8 @@ def verify_lemmas_cmd(n: int, grid: int, seed: int, trials: int) -> None:
     # certification sweep
     alphas = certifier.sweep_alphas(n, grid, n_random=max(grid // 10, 10),
                                     seed=seed)
-    worst = min(c.measured - (n / 300 - certifier.TOL_SCALE * n)
-                for c in certifier.sweep(n, alphas))
+    worst = min(certifier.certify(alpha, n).measured
+                - (n / 300 - certifier.TOL_SCALE * n) for alpha in alphas)
     click.echo(f"certification sweep ok ({len(alphas)} points, "
                f"min slack {worst:.3f})")
     click.echo("all checks passed")

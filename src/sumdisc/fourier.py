@@ -68,21 +68,16 @@ def geometric_exp_sum(diff: int, length: int, alpha: Fraction) -> complex:
     return _cis_minus_one((length * r) % q, q) / _cis_minus_one(r, q)
 
 
-def indicator_fourier(e: SumEdge, alpha: Fraction, method: str = "auto") -> complex:
+def indicator_fourier(e: SumEdge, alpha: Fraction) -> complex:
     """Exponential sum of the edge's element set at alpha.
 
     With no lattice collisions the double sum factorizes into a product of
-    two geometric sums; ``auto`` uses that route whenever the injectivity
-    criterion certifies it, and the direct element sum otherwise.
+    two geometric sums; an edge with collisions takes the direct element
+    sum.
     """
-    if method not in ("auto", "direct", "factorized"):
-        raise ValueError(f"unknown method {method!r}")
-    if method != "direct":
-        if method == "factorized" and not e.collision_free:
-            raise ValueError("edge has lattice collisions; product form invalid")
-        if e.collision_free:
-            return (geometric_exp_sum(e.d1, e.l1, alpha)
-                    * geometric_exp_sum(e.d2, e.l2, alpha))
+    if e.collision_free:
+        return (geometric_exp_sum(e.d1, e.l1, alpha)
+                * geometric_exp_sum(e.d2, e.l2, alpha))
     return unit_exp_sum(edge_elements_array(e), alpha)
 
 

@@ -6,9 +6,10 @@ start at 0); translates ``a + E`` intersected with ``[1, N]`` are the
 hyperedges of the full hypergraph.  Colorings are +-1 on [1, N] and 0
 elsewhere, so the color value of a translate is a plain finite sum.
 
-``enumerate_canonical_edges`` lists every distinct nonempty hyperedge at
-small N.  It does not iterate the naive parameter space (which is
-astronomically redundant); instead it enumerates canonical representatives:
+``canonical_edge_masks`` lists every distinct nonempty hyperedge at
+small N, one 64-bit bitmask word per edge.  It does not iterate the naive
+parameter space (which is astronomically redundant); instead it
+enumerates canonical representatives:
 
 * plain progression windows with both endpoints visible inside [1, N], and
 * genuine two-progression windows (both lengths >= 2, distinct differences)
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -462,23 +463,15 @@ def window_vertices(w: TranslatedEdgeValue, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _emit_chunks(n: int):
-    """Collector for packed bitmask rows with incremental dedup."""
-    row_words = (n + 63) // 64
-    row_bytes = 8 * row_words
+def _emit_chunks():
+    """Collector for bitmask rows, padded to one 64-bit word each, with
+    incremental dedup."""
     state = {"buf": [], "rows": 0, "chunks": []}
     limit = 1 << 21
 
-    def unique(arr: np.ndarray) -> np.ndarray:
-        if row_words == 1:
-            return np.unique(arr.reshape(-1, 8).view(np.uint64).ravel())
-        void = np.ascontiguousarray(arr.reshape(-1, row_bytes)).view(
-            np.dtype((np.void, row_bytes)))
-        return np.unique(void.ravel())
-
     def emit(packed: np.ndarray) -> None:
-        if packed.shape[1] < row_bytes:
-            packed = np.pad(packed, ((0, 0), (0, row_bytes - packed.shape[1])))
+        if packed.shape[1] < 8:
+            packed = np.pad(packed, ((0, 0), (0, 8 - packed.shape[1])))
         state["buf"].append(packed)
         state["rows"] += len(packed)
         if state["rows"] >= limit:
@@ -486,35 +479,32 @@ def _emit_chunks(n: int):
 
     def flush() -> None:
         if state["buf"]:
-            state["chunks"].append(unique(np.concatenate(state["buf"], axis=0)))
+            words = np.concatenate(state["buf"], axis=0).view(np.uint64).ravel()
+            state["chunks"].append(np.unique(words))
             state["buf"] = []
             state["rows"] = 0
 
     def finish() -> np.ndarray:
         flush()
-        if not state["chunks"]:
-            return np.zeros((0, row_bytes), dtype=np.uint8)
-        merged = state["chunks"][0]
-        for extra in state["chunks"][1:]:
-            merged = np.unique(np.concatenate([merged, extra]))
-        merged = np.unique(merged)
-        return merged.view(np.uint8).reshape(-1, row_bytes)
+        words = np.unique(np.concatenate(state["chunks"]))
+        return words.view(np.uint8).reshape(-1, 8)
 
     return emit, finish
 
 
-def canonical_edge_masks(n: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """All distinct nonempty hyperedges of [1, n] as packed little-endian
-    bitmask rows (bit z-1 set iff vertex z in the edge), lexicographically
-    sorted as unsigned words.  Deterministic for a given n.
+def canonical_edge_masks(n: int) -> np.ndarray:
+    """All distinct nonempty hyperedges of [1, n] as bitmask rows of one
+    little-endian 64-bit word each (bit z-1 set iff vertex z in the edge),
+    an (m, 8) uint8 array sorted by the words' unsigned value.
+    Deterministic for a given n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise CapExceeded(
-            f"canonical enumeration at n={n} exceeds cap={cap}; the distinct "
-            "edge count grows like n**4.3 and is out of reach well above 64")
-    emit, finish = _emit_chunks(n)
+            f"canonical enumeration at n={n} exceeds cap={ENUMERATION_CAP}; the "
+            "distinct edge count grows like n**4.3 and is out of reach well above 64")
+    emit, finish = _emit_chunks()
     pad = n - 1
 
     # Plain progression windows: both endpoints inside [1, n].
@@ -554,17 +544,3 @@ def canonical_edge_masks(n: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
                     emit(np.packbits(windows, axis=1, bitorder="little"))
     return finish()
 
-
-def masks_to_sets(masks: np.ndarray, n: int) -> list[frozenset[int]]:
-    """Decode packed bitmask rows into vertex sets."""
-    out = []
-    for row in masks:
-        bits = np.unpackbits(row, bitorder="little")[:n]
-        out.append(frozenset((np.nonzero(bits)[0] + 1).tolist()))
-    return out
-
-
-def enumerate_canonical_edges(n: int, cap: int = ENUMERATION_CAP) -> list[frozenset[int]]:
-    """All distinct nonempty hyperedges of [1, n], deduplicated by set
-    equality, in a deterministic order."""
-    return masks_to_sets(canonical_edge_masks(n, cap=cap), n)

@@ -178,37 +178,36 @@ class TwoNormEngine:
 _mask_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _packed_edges(n: int, cap: int = ENUMERATION_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """Packed canonical edge masks and their sizes, cached per n."""
+def _packed_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical edge masks as one uint64 word per edge, and their
+    sizes, cached per n."""
     cached = _mask_cache.get(n)
     if cached is None:
-        packed = canonical_edge_masks(n, cap=cap)
-        sizes = np.bitwise_count(packed).sum(axis=1).astype(np.int64)
-        cached = (packed, sizes)
+        words = canonical_edge_masks(n).view(np.uint64).ravel()
+        cached = (words, np.bitwise_count(words).astype(np.int64))
         _mask_cache[n] = cached
     return cached
 
 
-def _pack_signs(signs: np.ndarray, row_bytes: int) -> np.ndarray:
-    pos = np.packbits(signs > 0, bitorder="little")
-    if pos.size < row_bytes:
-        pos = np.pad(pos, (0, row_bytes - pos.size))
-    return pos
-
-
-def _max_imbalance(packed: np.ndarray, sizes: np.ndarray,
+def _max_imbalance(words: np.ndarray, sizes: np.ndarray,
                    signs: np.ndarray) -> tuple[int, int]:
-    """Max |color value| over the packed edges and the argmax row."""
-    pos = _pack_signs(signs, packed.shape[1])
-    inter = np.bitwise_count(packed & pos).sum(axis=1).astype(np.int64)
-    imb = np.abs(2 * inter - sizes)
+    """Max |color value| over the edge words and the argmax edge."""
+    bits = np.packbits(signs > 0, bitorder="little").tobytes()
+    pos = np.uint64(int.from_bytes(bits, "little"))
+    imb = np.abs(2 * np.bitwise_count(words & pos).astype(np.int64) - sizes)
     idx = int(np.argmax(imb))
     return int(imb[idx]), idx
 
 
-def _decode_row(row: np.ndarray, n: int) -> tuple[int, ...]:
-    bits = np.unpackbits(row, bitorder="little")[:n]
-    return tuple(int(z) for z in np.nonzero(bits)[0] + 1)
+def _decode_row(word: np.uint64, n: int) -> tuple[int, ...]:
+    """The vertices of one edge word, in increasing order."""
+    w = int(word)
+    return tuple(z for z in range(1, n + 1) if w >> (z - 1) & 1)
+
+
+def _require_positive(name: str, count: int) -> None:
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
 
 
 def exact_discrepancy(n: int) -> DiscReport:
@@ -220,10 +219,9 @@ def exact_discrepancy(n: int) -> DiscReport:
     """
     if n > EXACT_CAP:
         raise CapExceeded(f"exact search capped at n={EXACT_CAP}")
-    packed, sizes = _packed_edges(n)
+    words, sizes = _packed_edges(n)
     order = np.argsort(-sizes, kind="stable")
-    edges = [(int.from_bytes(packed[i].tobytes(), "little"), int(sizes[i]))
-             for i in order]
+    edges = [(int(words[i]), int(sizes[i])) for i in order]
     best = n + 1
     best_pos = 1
     for x in range(1 << (n - 1)):
@@ -242,48 +240,49 @@ def exact_discrepancy(n: int) -> DiscReport:
             best_pos = pos
     signs = np.array([1 if best_pos >> (z - 1) & 1 else -1
                       for z in range(1, n + 1)], dtype=np.int8)
-    _, idx = _max_imbalance(packed, sizes, signs)
+    _, idx = _max_imbalance(words, sizes, signs)
     return DiscReport(n=n, method="exhaustive", disc_value=best,
-                      n_edges=len(packed),
+                      n_edges=len(words),
                       witness_coloring=signs.tolist(),
-                      witness_edge=_decode_row(packed[idx], n))
+                      witness_edge=_decode_row(words[idx], n))
 
 
-def random_coloring_upper(n: int, trials: int = 100, seed: int = 0,
-                          cap: int = ENUMERATION_CAP) -> DiscReport:
+def random_coloring_upper(n: int, trials: int = 100, seed: int = 0) -> DiscReport:
     """Best-of-``trials`` uniform random colorings over all hyperedges.
 
     Also reports the harness envelope 4*sqrt(n*ln(2m)); the comparison is
-    logged, not enforced here.  Up to ``cap`` the colorings are scored over
-    the canonical edge masks and m is the exact distinct-edge count.  Above
-    it the same colorings are scored by ``max_edge_imbalance``: a coloring
-    stops as soon as it reaches the best finished value, which leaves the
-    minimum and its witness exact, and m is the progression count, a lower
-    bound.  The envelope grows with m, so the check at that bound is
+    logged, not enforced here.  Up to ``ENUMERATION_CAP`` the colorings are
+    scored over the canonical edge masks and m is the exact distinct-edge
+    count.  Above it the same colorings are scored by
+    ``max_edge_imbalance``: a coloring stops as soon as it reaches the best
+    finished value, which leaves the minimum and its witness exact, and m
+    is the progression count, a lower bound.  The envelope grows with m, so the check at that bound is
     stricter than at the exact m.
     """
-    if n > cap:
+    if n > ENUMERATION_CAP:
         return _random_upper_sweep(n, trials, seed)
-    packed, sizes = _packed_edges(n, cap=cap)
+    _require_positive("trials", trials)
+    words, sizes = _packed_edges(n)
     rng = np.random.default_rng(seed)
     best = None
     best_signs = None
     best_idx = 0
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-        value, idx = _max_imbalance(packed, sizes, signs)
+        value, idx = _max_imbalance(words, sizes, signs)
         if best is None or value < best:
             best, best_signs, best_idx = value, signs, idx
     return _random_report(n, trials, seed, best, best_signs,
-                          _decode_row(packed[best_idx], n), len(packed), False)
+                          _decode_row(words[best_idx], n), len(words), False)
 
 
 def _random_upper_sweep(n: int, trials: int, seed: int) -> DiscReport:
+    _require_positive("trials", trials)
     rng = np.random.default_rng(seed)
     best = None
     best_signs = None
     best_window = None
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
         value, window = max_edge_imbalance(Coloring(n, signs), stop_at=best)
         if window is not None:
@@ -308,27 +307,27 @@ def _random_report(n: int, trials: int, seed: int, best: int,
                       n_edges_lower_bound=m_is_lower_bound)
 
 
-def local_search_upper(n: int, restarts: int = 20, seed: int = 0,
-                       cap: int = ENUMERATION_CAP) -> DiscReport:
+def local_search_upper(n: int, restarts: int = 20, seed: int = 0) -> DiscReport:
     """Single-flip hill climbing on the max edge imbalance, random restarts.
 
     The objective after every accepted flip is recomputed by a full edge
     scan, so the reported value is a valid upper bound by construction.
     """
-    packed, sizes = _packed_edges(n, cap=cap)
+    _require_positive("restarts", restarts)
+    words, sizes = _packed_edges(n)
     rng = np.random.default_rng(seed)
     best = None
     best_signs = None
     best_idx = 0
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-        value, idx = _max_imbalance(packed, sizes, signs)
+        value, idx = _max_imbalance(words, sizes, signs)
         improved = True
         while improved:
             improved = False
             for z in rng.permutation(n):
                 signs[z] = -signs[z]
-                cand, cidx = _max_imbalance(packed, sizes, signs)
+                cand, cidx = _max_imbalance(words, sizes, signs)
                 if cand < value:
                     value, idx = cand, cidx
                     improved = True
@@ -336,11 +335,11 @@ def local_search_upper(n: int, restarts: int = 20, seed: int = 0,
                     signs[z] = -signs[z]
         if best is None or value < best:
             best, best_signs, best_idx = value, signs.copy(), idx
-    check, _ = _max_imbalance(packed, sizes, best_signs)
+    check, _ = _max_imbalance(words, sizes, best_signs)
     check_invariant(check == best, "local-search-rescore",
                     f"re-verification scan gives {check}, search found {best}")
     return DiscReport(n=n, method="local_search", disc_value=int(best),
-                      n_edges=len(packed),
+                      n_edges=len(words),
                       witness_coloring=best_signs.tolist(),
-                      witness_edge=_decode_row(packed[best_idx], n),
+                      witness_edge=_decode_row(words[best_idx], n),
                       restarts=restarts, seed=seed)

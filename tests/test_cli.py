@@ -116,8 +116,7 @@ class TestSweepCommand:
         assert rows and all(r["ok"] == "1" for r in rows)
 
     @pytest.mark.parametrize("threads, cores, workers", [
-        (1000, 8, 4), (1000, 2, 2), (3, 8, 2), (1, 8, None), (0, 8, None),
-        (-2, 8, None)])
+        (1000, 8, 4), (1000, 2, 2), (3, 8, 2), (1, 8, None)])
     def test_worker_count_clamped(self, runner, monkeypatch, threads, cores,
                                   workers):
         # a fake pool: records its size and maps in this process
@@ -250,6 +249,11 @@ class TestFailureClasses:
         ["twonorm", "--n", "576", "--colorings", "ones,random:0"],
         ["twonorm", "--n", "576", "--colorings", "ones,stripes"],
         ["twonorm", "--n", "576", "--colorings", "random:\u00b2"],
+        # --threads below 1 is refused before any pool is started
+        ["sweep", "--n", "1024", "--grid", "4", "--threads", "0"],
+        ["sweep", "--n", "1024", "--grid", "4", "--threads", "-2"],
+        # the tolerance is a constant, not an option
+        ["certify", "--n", "1024", "--alpha", "1/3", "--tol-scale", "-5"],
     ])
     def test_bad_count_is_usage_error(self, runner, args):
         res = runner.invoke(main, args)

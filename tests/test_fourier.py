@@ -9,8 +9,10 @@ import scipy.signal
 
 from sumdisc.fourier import (GridTooCoarse, coloring_fourier,
                              geometric_exp_sum, indicator_fourier,
-                             parseval_check, quadrature_sum_sq, sum_sq_disc)
-from sumdisc.hypergraph import Coloring, SumEdge, edge_elements
+                             parseval_check, quadrature_sum_sq, sum_sq_disc,
+                             unit_exp_sum)
+from sumdisc.hypergraph import (Coloring, SumEdge, edge_elements,
+                                edge_elements_array)
 
 
 def direct_exp_sum(e: SumEdge, alpha: Fraction) -> complex:
@@ -34,15 +36,10 @@ class TestIndicator:
     def test_product_vs_direct_example(self):
         e = SumEdge(2, 3, 3, 2)
         alpha = Fraction(1, 6)
-        prod = indicator_fourier(e, alpha, method="factorized")
-        direct = indicator_fourier(e, alpha, method="direct")
+        prod = indicator_fourier(e, alpha)
+        direct = unit_exp_sum(edge_elements_array(e), alpha)
         assert prod == pytest.approx(direct, abs=1e-12)
         assert direct == pytest.approx(direct_exp_sum(e, alpha), abs=1e-12)
-
-    def test_factorized_rejects_collisions(self):
-        with pytest.raises(ValueError):
-            indicator_fourier(SumEdge(2, 4, 4, 2), Fraction(1, 3),
-                              method="factorized")
 
     def test_factorized_vs_direct_random(self):
         rng = random.Random(31337)
@@ -55,8 +52,8 @@ class TestIndicator:
                 continue
             q = rng.randint(1, 10 ** 6)
             alpha = Fraction(rng.randint(0, q - 1), q)
-            a = indicator_fourier(e, alpha, method="factorized")
-            b = indicator_fourier(e, alpha, method="direct")
+            a = indicator_fourier(e, alpha)
+            b = unit_exp_sum(edge_elements_array(e), alpha)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
             done += 1
 

@@ -13,8 +13,7 @@ from sumdisc.hypergraph import (CapExceeded, Coloring,
                                 InternalInvariantViolation, SumEdge,
                                 canonical_edge_masks, color_value,
                                 count_progressions, edge_cardinality,
-                                edge_elements, enumerate_canonical_edges,
-                                max_edge_imbalance, translate_values,
+                                edge_elements, max_edge_imbalance, translate_values,
                                 window_vertices)
 from sumdisc.solver import _max_imbalance, _packed_edges
 
@@ -167,17 +166,17 @@ class TestEnumeration:
     FROZEN_COUNTS = {1: 1, 2: 3, 3: 7, 4: 15, 5: 31, 6: 63, 7: 119, 8: 215,
                      12: 1369, 16: 5068}
 
-    def test_tiny_examples(self):
-        assert enumerate_canonical_edges(1) == [frozenset({1})]
-        assert set(enumerate_canonical_edges(2)) == {
+    def test_tiny_examples(self, edge_sets):
+        assert edge_sets(1) == [frozenset({1})]
+        assert set(edge_sets(2)) == {
             frozenset({1}), frozenset({2}), frozenset({1, 2})}
-        assert set(enumerate_canonical_edges(3)) == {
+        assert set(edge_sets(3)) == {
             frozenset(s) for s in
             ({1}, {2}, {3}, {1, 2}, {2, 3}, {1, 3}, {1, 2, 3})}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_matches_naive_definition(self, n):
-        assert set(enumerate_canonical_edges(n)) == naive_hyperedges(n)
+    def test_matches_naive_definition(self, n, edge_sets):
+        assert set(edge_sets(n)) == naive_hyperedges(n)
 
     @pytest.mark.parametrize("n", sorted(FROZEN_COUNTS))
     def test_frozen_counts(self, n):
@@ -188,14 +187,14 @@ class TestEnumeration:
         b = canonical_edge_masks(10)
         assert np.array_equal(a, b)
 
-    def test_every_edge_is_a_window(self):
+    def test_every_edge_is_a_window(self, edge_sets):
         # spot check: each enumerated set must be realizable as a window
-        for s in enumerate_canonical_edges(5):
+        for s in edge_sets(5):
             assert s and min(s) >= 1 and max(s) <= 5
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            enumerate_canonical_edges(65)
+            canonical_edge_masks(65)
         with pytest.raises(CapExceeded):
             canonical_edge_masks(256)
 
@@ -207,8 +206,8 @@ def _is_progression(s):
 
 class TestProgressionCount:
     @pytest.mark.parametrize("n", range(1, 17))
-    def test_matches_enumeration(self, n):
-        edges = enumerate_canonical_edges(n)
+    def test_matches_enumeration(self, n, edge_sets):
+        edges = edge_sets(n)
         assert count_progressions(n) == sum(map(_is_progression, edges))
 
     def test_lower_bound_on_distinct_edges(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sumdisc import solver
 from sumdisc.family import FamilyConfig, build_family
 from sumdisc.fourier import quadrature_sum_sq, sum_sq_disc
 from sumdisc.hypergraph import CapExceeded, Coloring, color_value
@@ -100,14 +101,13 @@ class TestExact:
         assert exact_table[11].disc_value == 5
         assert exact_table[12].disc_value == 4
 
-    def test_witness_attains_value(self, exact_table):
+    def test_witness_attains_value(self, exact_table, edge_sets):
         for n in (4, 8, 12):
             rep = exact_table[n]
             chi = Coloring(n, rep.witness_coloring)
             # recompute the max imbalance of the witness over all edges
-            from sumdisc.hypergraph import enumerate_canonical_edges
             worst = max(abs(sum(chi(z) for z in edge))
-                        for edge in enumerate_canonical_edges(n))
+                        for edge in edge_sets(n))
             assert worst == rep.disc_value
 
     def test_cap(self):
@@ -115,11 +115,10 @@ class TestExact:
             exact_discrepancy(25)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
-    def test_matches_no_pruning_search(self, n, exact_table):
+    def test_matches_no_pruning_search(self, n, exact_table, edge_sets):
         # independent oracle: full matrix scan over every coloring,
         # no symmetry reduction, no pruning
-        from sumdisc.hypergraph import enumerate_canonical_edges
-        edges = enumerate_canonical_edges(n)
+        edges = edge_sets(n)
         m = np.zeros((len(edges), n), dtype=np.int32)
         for i, edge in enumerate(edges):
             for z in edge:
@@ -166,10 +165,10 @@ class TestUpperBounds:
 
     @pytest.mark.parametrize("n", [16, 32, 48, 64])
     def test_sweep_path_matches_mask_path(self, n):
-        # below the cap the colorings are scored over the edge masks; with
-        # cap < n the same draws go through the max-imbalance sweep
+        # up to the cap the colorings are scored over the edge masks; the
+        # path taken above it scores the same draws by the max-imbalance sweep
         masks = random_coloring_upper(n, trials=100, seed=7)
-        sweep = random_coloring_upper(n, trials=100, seed=7, cap=n - 1)
+        sweep = solver._random_upper_sweep(n, 100, 7)
         assert sweep.disc_value == masks.disc_value
         assert sweep.witness_coloring == masks.witness_coloring
         chi = Coloring(n, sweep.witness_coloring)
@@ -179,3 +178,29 @@ class TestUpperBounds:
         assert sweep.n_edges_lower_bound and sweep.n_edges <= masks.n_edges
         assert sweep.to_json_dict()["n_edges_lower_bound"] is True
         assert sweep.envelope <= masks.envelope
+
+    @pytest.mark.parametrize("call", [
+        lambda: random_coloring_upper(8, trials=-3),
+        lambda: solver._random_upper_sweep(8, 0, 0),
+        lambda: local_search_upper(8, restarts=0),
+    ], ids=["random", "sweep", "local"])
+    def test_count_below_one_raises(self, call):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            call()
+
+
+class TestEdgeWords:
+    def test_top_bit_and_full_word(self):
+        # the two words that only a 64-vertex edge set holds: vertex 64
+        # alone, and every vertex
+        words = np.array([1 << 63, 2 ** 64 - 1], dtype=np.uint64)
+        sizes = np.array([1, 64], dtype=np.int64)
+        # vertex 64 is the only +1: the full word scores |2 - 64|
+        signs = -np.ones(64, dtype=np.int8)
+        signs[63] = 1
+        assert solver._max_imbalance(words, sizes, signs) == (62, 1)
+        # alternating, vertex 64 is +1: only the top-bit word is unbalanced
+        signs = np.tile(np.array([-1, 1], dtype=np.int8), 32)
+        assert solver._max_imbalance(words, sizes, signs) == (1, 0)
+        assert solver._decode_row(words[0], 64) == (64,)
+        assert solver._decode_row(words[1], 64) == tuple(range(1, 65))
