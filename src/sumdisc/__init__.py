@@ -9,10 +9,9 @@ exact and heuristic discrepancies of the full hypergraph at small N.
 
 from .certifier import Certificate, certify, classify_case, select_delta1
 from .family import FamilyConfig, FamilyE0, build_family, build_m_set, family_stats
-from .fourier import coloring_fourier, indicator_fourier, parseval_check, sum_sq_disc
-from .hypergraph import (Coloring, SumEdge, color_value, edge_cardinality,
-                         edge_elements)
-from .numtheory import dirichlet_approx, mod_inverse_pair, totatives
+from .fourier import indicator_fourier, parseval_check, sum_sq_disc
+from .hypergraph import Coloring, SumEdge, color_value, edge_cardinality
+from .numtheory import dirichlet_approx, totatives
 from .solver import (DiscReport, TwoNormBound, TwoNormEngine, exact_discrepancy,
                      local_search_upper, random_coloring_upper)
 
@@ -21,10 +20,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate", "certify", "classify_case", "select_delta1",
     "FamilyConfig", "FamilyE0", "build_family", "build_m_set", "family_stats",
-    "coloring_fourier", "indicator_fourier", "parseval_check", "sum_sq_disc",
+    "indicator_fourier", "parseval_check", "sum_sq_disc",
     "Coloring", "SumEdge", "color_value", "edge_cardinality",
-    "edge_elements",
-    "dirichlet_approx", "mod_inverse_pair", "totatives",
+    "dirichlet_approx", "totatives",
     "DiscReport", "TwoNormBound", "TwoNormEngine", "exact_discrepancy",
     "local_search_upper", "random_coloring_upper",
     "__version__",

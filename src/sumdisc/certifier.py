@@ -20,10 +20,9 @@ Every structural step (branch selection, interval membership, coprimality,
 scale bounds, phase-budget hypotheses) is an integer comparison: for
 alpha = p/q each threshold on an error |d*alpha - a| is cross-multiplied
 into a test on |d*p - a*q| against q, and a failed check raises
-InternalInvariantViolation (also under ``python -O``).  The only rationals
-built per alpha are the case-3 ``Certificate.d`` and the case-2
-``DirichletWitness.err``; floating point only enters when the final
-magnitude is measured.
+InternalInvariantViolation (also under ``python -O``).  The only rational
+built per alpha is the case-3 ``Certificate.d``; floating point only
+enters when the final magnitude is measured.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .family import (in_m_interval, kbar, length1_at_scale, length2_at_scale)
 from .fourier import indicator_fourier
 from .hypergraph import SumEdge, edge_cardinality
 from .numtheory import (InternalInvariantViolation, dirichlet_approx,
-                        first_convergent, mod_inverse_pair)
+                        first_convergent)
 
 MIN_N = 576
 TOL_SCALE = 1e-6
@@ -164,8 +163,7 @@ def certify(alpha: Fraction, n: int) -> Certificate:
 
     if case == 2:
         l1 = (n + 12 * delta1 - 1) // (12 * delta1)
-        wit = dirichlet_approx(alpha, delta1 - 1)
-        delta2, a2 = wit.delta, wit.a
+        delta2, a2 = dirichlet_approx(alpha, delta1 - 1)
         if math.gcd(delta1, delta2) != 1:
             raise InternalInvariantViolation(
                 "coprime-denominators", f"gcd({delta1},{delta2}) != 1")
@@ -199,7 +197,7 @@ def certify(alpha: Fraction, n: int) -> Certificate:
         gamma = None
         b = 1
     else:
-        gamma = mod_inverse_pair(a1, delta1).k
+        gamma = pow(a1, -1, delta1)
         b = delta1 - gamma if s == 1 else gamma
     if (b * a1 + s) % delta1 != 0:
         raise InternalInvariantViolation(
@@ -236,9 +234,8 @@ def certify(alpha: Fraction, n: int) -> Certificate:
 
 def _size_checks(edge: SumEdge, c: int, n: int) -> None:
     """The edge's l1*l2 lattice points are distinct and at least n/c."""
-    card = edge_cardinality(edge)
     size = edge.l1 * edge.l2
-    if not (card.collision_free and card.value == size):
+    if edge_cardinality(edge) != size:
         raise InternalInvariantViolation("injective-sumset", f"collisions in {edge}")
     if not c * size >= n:
         raise InternalInvariantViolation("size-bound", f"|E| = {size} < n/{c}")

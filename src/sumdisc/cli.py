@@ -24,10 +24,9 @@ from fractions import Fraction
 
 import click
 
-from . import certifier, family, fourier, solver
-from .hypergraph import (CapExceeded, Coloring, SumEdge, edge_cardinality,
-                         edge_elements)
-from .numtheory import InternalInvariantViolation, check_invariant
+from . import certifier, checks, family, fourier, solver
+from .hypergraph import CapExceeded, Coloring, SumEdge
+from .numtheory import InternalInvariantViolation
 
 _ALPHA_RE = re.compile(r"^\s*(\d+)\s*/\s*(\d+)\s*$")
 _POSITIVE = click.IntRange(min=1)
@@ -259,7 +258,7 @@ def spectrum_cmd(d1: int, l1: int, d2: int, l2: int, grid: int, out: str) -> Non
 
 
 @main.command("verify-lemmas")
-@click.option("--n", type=_POSITIVE, required=True)
+@click.option("--n", type=click.IntRange(min=certifier.MIN_N), required=True)
 @click.option("--grid", type=_POSITIVE, default=2000, show_default=True,
               help="sweep grid size for the certification check")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -267,38 +266,17 @@ def spectrum_cmd(d1: int, l1: int, d2: int, l2: int, grid: int, out: str) -> Non
               help="random edges for the cardinality oracle check")
 def verify_lemmas_cmd(n: int, grid: int, seed: int, trials: int) -> None:
     """Run the verification suite and exit 0 only if every check holds."""
-    # family count bounds
-    fam = family.build_family(family.FamilyConfig(n=n))
-    c1, c2, c3 = fam.counts
-    check_invariant(c3 <= 6 * n and c1 + c2 < n and len(fam) <= 7 * n,
-                    "count-bounds", f"counts {fam.counts} at n={n}")
+    # build_family checks the count bounds itself
+    c1, c2, c3 = family.build_family(family.FamilyConfig(n=n)).counts
     click.echo(f"family counts ok: e1={c1} e2={c2} e3={c3} (<= 7n = {7 * n})")
-
-    # Parseval identity on small instances
     rng = random.Random(seed)
-    for small_n in (8, 16, 32, 64):
-        for _ in range(25):
-            chi = Coloring.random(small_n, rng.randrange(2 ** 31))
-            e = SumEdge(d1=rng.randint(1, 8), l1=rng.randint(1, 6),
-                        d2=rng.randint(1, 8), l2=rng.randint(1, 6))
-            err = fourier.parseval_check(chi, e, 2 * (small_n + e.span) + 1)
-            check_invariant(err <= 1e-8, "parseval",
-                            f"error {err} at n={small_n}")
+    checks.parseval(rng, 25)
     click.echo("parseval suite ok (n in {8,16,32,64}, rel err <= 1e-8)")
-
-    # cardinality oracle agreement
-    for _ in range(trials):
-        e = SumEdge(d1=rng.randint(1, 100), l1=rng.randint(1, 100),
-                    d2=rng.randint(1, 100), l2=rng.randint(1, 100))
-        check_invariant(edge_cardinality(e).value == len(set(edge_elements(e))),
-                        "cardinality-oracle", f"edge {e}")
+    checks.cardinality(rng, trials)
     click.echo(f"cardinality oracle ok ({trials} random edges)")
-
-    # certification sweep
     alphas = certifier.sweep_alphas(n, grid, n_random=max(grid // 10, 10),
                                     seed=seed)
-    worst = min(certifier.certify(alpha, n).measured
-                - (n / 300 - certifier.TOL_SCALE * n) for alpha in alphas)
+    worst, _ = checks.certification(n, alphas)
     click.echo(f"certification sweep ok ({len(alphas)} points, "
                f"min slack {worst:.3f})")
     click.echo("all checks passed")

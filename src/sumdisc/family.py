@@ -250,21 +250,21 @@ def family_stats(f: FamilyE0) -> FamilyStats:
     max_el = max((e.span for e in f.all_edges()), default=0)
     min_e2: int | None = None
     for e in f.e2:
-        card = edge_cardinality(e)
-        if card.collision_free and 150 * card.value < f.n:
+        size = edge_cardinality(e)
+        if e.collision_free and 150 * size < f.n:
             raise InternalInvariantViolation(
-                "e2-size", f"e2 edge {e} has {card.value} < n/150 elements")
-        min_e2 = card.value if min_e2 is None else min(min_e2, card.value)
+                "e2-size", f"e2 edge {e} has {size} < n/150 elements")
+        min_e2 = size if min_e2 is None else min(min_e2, size)
     min_e3: int | None = None
     for e, _ in f.e3:
-        card = edge_cardinality(e)
-        if not card.collision_free:
+        if not e.collision_free:
             raise InternalInvariantViolation(
                 "e3-injective", f"e3 edge {e} has colliding lattice points")
-        if 144 * card.value < f.n:
+        size = e.l1 * e.l2
+        if 144 * size < f.n:
             raise InternalInvariantViolation(
-                "e3-size", f"e3 edge {e} has {card.value} < n/144 elements")
-        min_e3 = card.value if min_e3 is None else min(min_e3, card.value)
+                "e3-size", f"e3 edge {e} has {size} < n/144 elements")
+        min_e3 = size if min_e3 is None else min(min_e3, size)
     return FamilyStats(
         n=f.n,
         count_e1=len(f.e1),

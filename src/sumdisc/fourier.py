@@ -81,13 +81,6 @@ def indicator_fourier(e: SumEdge, alpha: Fraction) -> complex:
     return unit_exp_sum(edge_elements_array(e), alpha)
 
 
-def coloring_fourier(chi: Coloring, alpha: Fraction) -> complex:
-    """sum_{z in [1, N]} chi(z) * exp(2*pi*i*z*alpha)."""
-    p, q = alpha.numerator, alpha.denominator
-    ph = _phases(np.arange(1, chi.n + 1, dtype=np.int64), p, q)
-    return complex((chi.values * np.exp(TWO_PI * 1j * ph)).sum())
-
-
 def sum_sq_disc(chi: Coloring, e: SumEdge) -> int:
     """Sum over all offsets of the squared color value of the translate.
 

@@ -74,12 +74,6 @@ class SumEdge:
         return self.l1 * g <= self.d2 or self.l2 * g <= self.d1
 
 
-@dataclass(frozen=True)
-class CardinalityResult:
-    value: int
-    collision_free: bool
-
-
 def edge_elements_array(e: SumEdge) -> np.ndarray:
     """Sorted distinct elements of the sumset as an int64 array."""
     j1 = np.arange(e.l1, dtype=np.int64) * e.d1
@@ -87,21 +81,15 @@ def edge_elements_array(e: SumEdge) -> np.ndarray:
     return np.unique(np.add.outer(j1, j2))
 
 
-def edge_elements(e: SumEdge) -> list[int]:
-    """Sorted distinct elements of the sumset."""
-    return edge_elements_array(e).tolist()
-
-
-def edge_cardinality(e: SumEdge) -> CardinalityResult:
-    """Number of distinct elements, plus whether the grid maps injectively.
+def edge_cardinality(e: SumEdge) -> int:
+    """Number of distinct elements of the sumset.
 
     A collision-free edge has exactly l1*l2 elements; otherwise the size is
     computed by enumeration.
     """
     if e.collision_free:
-        return CardinalityResult(value=e.l1 * e.l2, collision_free=True)
-    return CardinalityResult(value=int(edge_elements_array(e).size),
-                             collision_free=False)
+        return e.l1 * e.l2
+    return int(edge_elements_array(e).size)
 
 
 class Coloring:

@@ -19,18 +19,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Callable
-
-
-class NotCoprime(ValueError):
-    """Raised when a modular inverse is requested for non-coprime arguments."""
-
-
-class DegenerateModulus(ValueError):
-    """Raised when a modulus < 2 is passed where an inverse pair is needed."""
 
 
 class InternalInvariantViolation(RuntimeError):
@@ -85,38 +76,6 @@ def nearest_int(num: int, den: int) -> int:
     return -(f + 1) if 2 * r > den else -f
 
 
-@dataclass(frozen=True)
-class InversePair:
-    """The pair (k, delta - k) of residues inverting a and -a mod delta.
-
-    Invariants: ``k * a == 1 (mod delta)``, ``k_neg * a == -1 (mod delta)``,
-    and both k and k_neg are coprime to delta and lie in [1, delta - 1].
-    """
-
-    k: int
-    k_neg: int
-
-    @property
-    def delta(self) -> int:
-        return self.k + self.k_neg
-
-
-def mod_inverse_pair(a: int, delta: int) -> InversePair:
-    """Residues k and delta-k with k*a = 1 and (delta-k)*a = -1 mod delta.
-
-    Requires delta >= 2 and gcd(a, delta) == 1.  delta == 1 is rejected
-    because [delta - 1] is empty there; callers with a trivial modulus must
-    handle that case themselves.
-    """
-    if delta < 2:
-        raise DegenerateModulus(f"modulus {delta} < 2 has no inverse pair")
-    a_mod = a % delta
-    if math.gcd(a_mod, delta) != 1:
-        raise NotCoprime(f"{a} is not invertible mod {delta}")
-    k = pow(a_mod, -1, delta)
-    return InversePair(k=k, k_neg=delta - k)
-
-
 def first_convergent(p: int, q: int, limit: int,
                      accept: Callable[[int], bool]) -> tuple[int, int, int] | None:
     """First convergent denominator d <= limit of p/q (q >= 1) whose error
@@ -147,19 +106,10 @@ def first_convergent(p: int, q: int, limit: int,
     return None
 
 
-@dataclass(frozen=True)
-class DirichletWitness:
-    """A denominator delta in [1, k] whose multiple of alpha is within 1/k
-    of the integer a; ``err == |delta * alpha - a|`` is stored exactly."""
-
-    delta: int
-    a: int
-    err: Fraction
-
-
-def dirichlet_approx(alpha: Fraction, k: int) -> DirichletWitness:
+def dirichlet_approx(alpha: Fraction, k: int) -> tuple[int, int]:
     """Smallest delta in [1, k] with ``|delta * alpha - a| < 1/k`` for some
-    integer a; a is the nearest integer to delta * alpha (ties toward zero).
+    integer a, returned as the pair (delta, a); a is the nearest integer to
+    delta * alpha (ties toward zero).
 
     Existence is the classical pigeonhole fact for one-dimensional
     approximation, so a walk without a hit is an internal bug.  The walk
@@ -178,8 +128,8 @@ def dirichlet_approx(alpha: Fraction, k: int) -> DirichletWitness:
             "dirichlet-existence",
             f"no denominator <= {k} approximates {alpha} within 1/{k}; "
             "this contradicts the pigeonhole principle")
-    delta, a, r = hit
-    return DirichletWitness(delta=delta, a=a, err=Fraction(r, q))
+    delta, a, _ = hit
+    return delta, a
 
 
 def totatives(delta: int) -> list[int]:

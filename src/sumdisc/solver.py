@@ -14,6 +14,7 @@ checked on every call.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -23,9 +24,10 @@ import numpy as np
 from .family import FamilyE0
 from .hypergraph import (CapExceeded, Coloring, SumEdge, TranslatedEdgeValue,
                          canonical_edge_masks, count_progressions,
-                         edge_cardinality, edge_elements_array,
-                         max_edge_imbalance, translate_values, window_vertices,
-                         ENUMERATION_CAP)
+                         edge_elements_array, max_edge_imbalance,
+                         translate_values, window_vertices, ENUMERATION_CAP)
+# Unused here; bench/spans.py wraps ``solver.edge_cardinality`` by name.
+from .hypergraph import edge_cardinality  # noqa: F401
 from .numtheory import check_invariant
 
 log = logging.getLogger(__name__)
@@ -95,8 +97,7 @@ class TwoNormBound:
 def _edge_difference_profile(e: SumEdge) -> np.ndarray:
     """Occurrence counts of each nonnegative gap u between ordered element
     pairs (x, x+u) of the edge, dense over [0, span]."""
-    card = edge_cardinality(e)
-    if card.collision_free:
+    if e.collision_free:
         j1 = np.arange(-(e.l1 - 1), e.l1, dtype=np.int64)
         j2 = np.arange(-(e.l2 - 1), e.l2, dtype=np.int64)
         w = np.outer(e.l1 - np.abs(j1), e.l2 - np.abs(j2)).ravel()
@@ -175,18 +176,12 @@ class TwoNormEngine:
 # canonical-edge representations for the search-based solvers
 # ---------------------------------------------------------------------------
 
-_mask_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _packed_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The canonical edge masks as one uint64 word per edge, and their
-    sizes, cached per n."""
-    cached = _mask_cache.get(n)
-    if cached is None:
-        words = canonical_edge_masks(n).view(np.uint64).ravel()
-        cached = (words, np.bitwise_count(words).astype(np.int64))
-        _mask_cache[n] = cached
-    return cached
+    sizes, cached per n (so at most ``ENUMERATION_CAP`` entries)."""
+    words = canonical_edge_masks(n).view(np.uint64).ravel()
+    return words, np.bitwise_count(words).astype(np.int64)
 
 
 def _max_imbalance(words: np.ndarray, sizes: np.ndarray,

@@ -260,6 +260,12 @@ class TestFailureClasses:
         assert res.exit_code == 2
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("n", ["20", "100"])
+    def test_verify_lemmas_below_min_n(self, runner, n):
+        # refused before any check runs or prints
+        res = runner.invoke(main, ["verify-lemmas", "--n", n])
+        assert res.exit_code == 2 and res.stdout == ""
+
     def test_invariant_violation_pickles(self):
         exc = InternalInvariantViolation("magnitude-bound", "measured 0 < bound 4")
         again = pickle.loads(pickle.dumps(exc))

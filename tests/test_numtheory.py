@@ -7,59 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdisc.certifier import select_delta1
-from sumdisc.numtheory import (DegenerateModulus, DirichletWitness, NotCoprime,
-                               dirichlet_approx, first_convergent, isqrt_ceil,
-                               mod_inverse_pair, nearest_int, totatives)
-
-
-class TestInversePair:
-    def brute_inverse(self, a, delta):
-        # independent oracle: scan k in [1, delta-1]
-        for k in range(1, delta):
-            if (k * a) % delta == 1:
-                return k
-        raise AssertionError("no inverse")
-
-    @pytest.mark.parametrize("a, delta, k", [
-        (3, 7, 5),   # 15 = 2*7 + 1
-        (4, 9, 7),   # 28 = 3*9 + 1
-        (1, 5, 1),
-        (1, 2, 1),
-    ])
-    def test_examples(self, a, delta, k):
-        pair = mod_inverse_pair(a, delta)
-        assert pair.k == k == self.brute_inverse(a, delta)
-        assert pair.k_neg == delta - k
-
-    def test_identity_any_modulus(self):
-        for delta in (2, 3, 10, 97):
-            pair = mod_inverse_pair(1, delta)
-            assert (pair.k, pair.k_neg) == (1, delta - 1)
-
-    def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
-            mod_inverse_pair(6, 9)
-
-    def test_degenerate_modulus(self):
-        with pytest.raises(DegenerateModulus):
-            mod_inverse_pair(3, 1)
-
-    def test_random_pairs(self):
-        # k*a = 1 and (delta-k)*a = delta-1 mod delta, coprimality of both
-        rng = random.Random(12345)
-        done = 0
-        while done < 10 ** 4:
-            delta = rng.randint(2, 10 ** 6)
-            a = rng.randint(1, delta - 1)
-            if math.gcd(a, delta) != 1:
-                continue
-            pair = mod_inverse_pair(a, delta)
-            assert 1 <= pair.k <= delta - 1
-            assert (pair.k * a) % delta == 1
-            assert (pair.k_neg * a) % delta == delta - 1
-            assert math.gcd(pair.k, delta) == 1
-            assert math.gcd(pair.k_neg, delta) == 1
-            done += 1
+from sumdisc.numtheory import (dirichlet_approx, first_convergent, isqrt_ceil,
+                               nearest_int, totatives)
 
 
 class TestDirichlet:
@@ -70,19 +19,17 @@ class TestDirichlet:
                        for a in (math.floor(delta * alpha),
                                  math.floor(delta * alpha) + 1))
             if best[0] < Fraction(1, k):
-                return delta, best[1], best[0]
+                return delta, best[1]
         raise AssertionError("pigeonhole violated")
 
     @pytest.mark.parametrize("alpha, k, expected", [
-        (Fraction(1, 3), 3, (3, 1, Fraction(0))),
-        (Fraction(0), 5, (1, 0, Fraction(0))),
+        (Fraction(1, 3), 3, (3, 1)),
+        (Fraction(0), 5, (1, 0)),
         # nearest multiple: |2*0.4142135 - 1| = 0.1715730 < 1/5
-        (Fraction(4142135, 10 ** 7), 5, (2, 1, Fraction(171573, 10 ** 6))),
+        (Fraction(4142135, 10 ** 7), 5, (2, 1)),
     ])
     def test_examples(self, alpha, k, expected):
-        wit = dirichlet_approx(alpha, k)
-        assert (wit.delta, wit.a, wit.err) == expected
-        assert (wit.delta, wit.a, wit.err) == self.brute_witness(alpha, k)
+        assert dirichlet_approx(alpha, k) == expected == self.brute_witness(alpha, k)
 
     def test_deterministic(self):
         alpha = Fraction(355, 1130)
@@ -94,10 +41,9 @@ class TestDirichlet:
            k=st.integers(min_value=1, max_value=10 ** 3))
     def test_error_below_threshold(self, p, q, k):
         alpha = Fraction(p % q, q)
-        wit = dirichlet_approx(alpha, k)
-        assert 1 <= wit.delta <= k
-        assert wit.err == abs(wit.delta * alpha - wit.a)
-        assert wit.err < Fraction(1, k)
+        delta, a = dirichlet_approx(alpha, k)
+        assert 1 <= delta <= k
+        assert abs(delta * alpha - a) < Fraction(1, k)
 
     def test_smallest_delta_wins(self):
         rng = random.Random(99)
@@ -105,8 +51,7 @@ class TestDirichlet:
             q = rng.randint(1, 5000)
             alpha = Fraction(rng.randint(0, q - 1), q)
             k = rng.randint(1, 60)
-            wit = dirichlet_approx(alpha, k)
-            assert (wit.delta, wit.a, wit.err) == self.brute_witness(alpha, k)
+            assert dirichlet_approx(alpha, k) == self.brute_witness(alpha, k)
 
 
 def scan_rows(p, q, limit):
@@ -156,8 +101,8 @@ def scan_dirichlet(alpha, k, rows=None):
     """The linear scan dirichlet_approx replaced: d up to k."""
     p, q = alpha.numerator, alpha.denominator
     rows = scan_rows(p, q, k) if rows is None else rows
-    d, a, r = scan_first(rows, k, lambda r: r * k < q)
-    return DirichletWitness(delta=d, a=a, err=Fraction(r, q))
+    d, a, _ = scan_first(rows, k, lambda r: r * k < q)
+    return d, a
 
 
 class TestConvergentWalk:
