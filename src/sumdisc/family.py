@@ -22,16 +22,13 @@ in the family fits inside [0, N-1]; the total counts obey |e3| <= 6N and
 from __future__ import annotations
 
 import json
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .hypergraph import SumEdge, edge_cardinality
 from .numtheory import (InternalInvariantViolation, check_invariant,
                         isqrt_ceil, totatives)
-
-log = logging.getLogger(__name__)
 
 # Below this N the count bounds are meaningless (e1 alone has 24 edges) and
 # the family is only useful for exercising degenerate-input handling.
@@ -40,10 +37,6 @@ COUNT_CHECK_MIN_N = 25
 
 class BadK(ValueError):
     """Raised when a dyadic scale k exceeds kbar for the given difference."""
-
-
-class ContainmentViolation(InternalInvariantViolation):
-    """An edge of the built family escapes [0, N-1]; construction bug."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +139,6 @@ class FamilyE0:
     e1: list[SumEdge]
     e2: list[SumEdge]
     e3: list[tuple[SumEdge, Provenance]]
-    clipped: list[SumEdge] = field(default_factory=list, repr=False)
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -193,29 +185,18 @@ def _e3_edges(n: int) -> list[tuple[SumEdge, Provenance]]:
 def build_family(cfg: FamilyConfig) -> FamilyE0:
     """Construct the full family and validate its containment and counts.
 
-    Every edge must fit in [0, n-1].  For n >= 576 a violation raises
-    ContainmentViolation (it would indicate a construction bug); for the
-    degenerate small-n regime offending edges are clipped out and logged.
-    The count bounds |e3| <= 6n and |e1|+|e2|+|e3| <= 7n are checked for
-    n >= 25 (below that even the 24 fixed e1 records exceed n).
+    Every edge must fit in [0, n-1] at every n; each sub-family spans less
+    than about n/3, so a violation is a construction bug.  The count bounds
+    |e3| <= 6n and |e1|+|e2|+|e3| <= 7n are checked for n >= 25 (below that
+    even the 24 fixed e1 records exceed n).
     """
     n = cfg.n
-    clipped: list[SumEdge] = []
-
-    def keep(edge: SumEdge) -> bool:
-        if edge.span <= n - 1:
-            return True
-        if n >= 576:
-            raise ContainmentViolation(
-                "containment", f"edge {edge} spans {edge.span} > {n - 1} at n={n}")
-        log.warning("clipping edge %s (span %d) out of family at n=%d",
-                    edge, edge.span, n)
-        clipped.append(edge)
-        return False
-
-    e1 = [e for e in _e1_edges(n) if keep(e)]
-    e2 = [e for e in _e2_edges(n) if keep(e)]
-    e3 = [(e, prov) for e, prov in _e3_edges(n) if keep(e)]
+    e1 = _e1_edges(n)
+    e2 = _e2_edges(n)
+    e3 = _e3_edges(n)
+    widest = max((*e1, *e2, *(e for e, _ in e3)), key=lambda e: e.span)
+    check_invariant(widest.span <= n - 1, "containment",
+                    f"edge {widest} spans {widest.span} > {n - 1} at n={n}")
 
     if n >= COUNT_CHECK_MIN_N:
         check_invariant(len(e3) <= 6 * n, "count-e3",
@@ -224,7 +205,7 @@ def build_family(cfg: FamilyConfig) -> FamilyE0:
                         f"|e1|+|e2|={len(e1) + len(e2)} >= n at n={n}")
         check_invariant(len(e1) + len(e2) + len(e3) <= 7 * n, "count-total",
                         f"family size {len(e1) + len(e2) + len(e3)} > 7n at n={n}")
-    return FamilyE0(n=n, e1=e1, e2=e2, e3=e3, clipped=clipped)
+    return FamilyE0(n=n, e1=e1, e2=e2, e3=e3)
 
 
 @dataclass(frozen=True)
@@ -237,7 +218,6 @@ class FamilyStats:
     max_element: int
     min_size_e2: int | None
     min_size_e3: int | None
-    clipped: int
 
 
 def family_stats(f: FamilyE0) -> FamilyStats:
@@ -274,7 +254,6 @@ def family_stats(f: FamilyE0) -> FamilyStats:
         max_element=max_el,
         min_size_e2=min_e2,
         min_size_e3=min_e3,
-        clipped=len(f.clipped),
     )
 
 

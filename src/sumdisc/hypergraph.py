@@ -7,8 +7,10 @@ hyperedges of the full hypergraph.  Colorings are +-1 on [1, N] and 0
 elsewhere, so the color value of a translate is a plain finite sum.
 
 ``canonical_edge_masks`` lists every distinct nonempty hyperedge at
-small N, one 64-bit bitmask word per edge.  It does not iterate the naive
-parameter space (which is astronomically redundant); instead it
+small N, one 64-bit bitmask word per edge.  A template is one integer
+bitmask, and each window of it is that integer shifted and cut to N bits;
+a set of words drops the windows that repeat an edge.  It does not iterate
+the naive parameter space (which is astronomically redundant); instead it
 enumerates canonical representatives:
 
 * plain progression windows with both endpoints visible inside [1, N], and
@@ -100,14 +102,14 @@ class Coloring:
     def __init__(self, n: int, values: Iterable[int]):
         if n < 1:
             raise ValueError("n must be >= 1")
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
-                         dtype=np.int8)
+        arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
         if arr.shape != (n,):
             raise ValueError(f"expected {n} color values, got shape {arr.shape}")
-        if not np.all(np.abs(arr) == 1):
+        # checked before the cast, which would wrap 255 to -1 and cut 1.7 to 1
+        if not np.all((arr == 1) | (arr == -1)):
             raise ValueError("color values must be +1 or -1")
         self.n = n
-        self.values = arr
+        self.values = arr.astype(np.int8)
 
     def __call__(self, z: int) -> int:
         if 1 <= z <= self.n:
@@ -451,40 +453,15 @@ def window_vertices(w: TranslatedEdgeValue, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _emit_chunks():
-    """Collector for bitmask rows, padded to one 64-bit word each, with
-    incremental dedup."""
-    state = {"buf": [], "rows": 0, "chunks": []}
-    limit = 1 << 21
-
-    def emit(packed: np.ndarray) -> None:
-        if packed.shape[1] < 8:
-            packed = np.pad(packed, ((0, 0), (0, 8 - packed.shape[1])))
-        state["buf"].append(packed)
-        state["rows"] += len(packed)
-        if state["rows"] >= limit:
-            flush()
-
-    def flush() -> None:
-        if state["buf"]:
-            words = np.concatenate(state["buf"], axis=0).view(np.uint64).ravel()
-            state["chunks"].append(np.unique(words))
-            state["buf"] = []
-            state["rows"] = 0
-
-    def finish() -> np.ndarray:
-        flush()
-        words = np.unique(np.concatenate(state["chunks"]))
-        return words.view(np.uint8).reshape(-1, 8)
-
-    return emit, finish
-
-
 def canonical_edge_masks(n: int) -> np.ndarray:
     """All distinct nonempty hyperedges of [1, n] as bitmask rows of one
     little-endian 64-bit word each (bit z-1 set iff vertex z in the edge),
     an (m, 8) uint8 array sorted by the words' unsigned value.
     Deterministic for a given n.
+
+    A template is one int with bit x set for each element x; a window is
+    that int shifted and cut to n bits.  Many windows repeat an edge, and
+    the set keeps one copy of each.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -492,43 +469,38 @@ def canonical_edge_masks(n: int) -> np.ndarray:
         raise CapExceeded(
             f"canonical enumeration at n={n} exceeds cap={ENUMERATION_CAP}; the "
             "distinct edge count grows like n**4.3 and is out of reach well above 64")
-    emit, finish = _emit_chunks()
-    pad = n - 1
+    full = (1 << n) - 1
+    words: set[int] = set()
 
-    # Plain progression windows: both endpoints inside [1, n].
+    # Plain progression windows: both endpoints inside [1, n], so the
+    # progression of span s starts at one of the vertices 1..n - s.
     for d in range(1, n + 1):
-        lmax = (n - 1) // d + 1
-        for length in range(1, lmax + 1):
-            s = (length - 1) * d
-            pres = np.zeros(s + 1 + 2 * pad, dtype=bool)
-            pres[pad + np.arange(length) * d] = True
-            windows = sliding_window_view(pres, n)
-            starts = pad + np.arange(1 - (n - s), 1)
-            emit(np.packbits(windows[starts], axis=1, bitorder="little"))
+        t = 0
+        for s in range(0, n, d):
+            t |= 1 << s
+            words.update(t << a for a in range(n - s))
 
     # Two-progression windows, d2 < d1, both lengths >= 2, all four boundary
     # rows/columns visible.  Equal differences collapse to plain progressions.
     for d1 in range(2, n + 1):
         for d2 in range(1, d1):
+            # templates are held shifted up by n - 1, so that every window
+            # is a right shift: bit 0 of window k reads position k - (n - 1)
+            col = 1 << (n - 1)
             for l2 in range(2, n + 1):
                 s2 = (l2 - 1) * d2
+                col |= 1 << (n - 1 + s2)
                 # spans must differ by at most n-1 for all four boundaries
                 l1_lo = max(2, (s2 - (n - 1) + d1 - 1) // d1 + 1)
                 l1_hi = min(n, (s2 + n - 1) // d1 + 1)
                 if l1_lo > l1_hi:
                     continue
-                s1_hi = (l1_hi - 1) * d1
-                col = np.arange(l2) * d2
-                pres = np.zeros(s1_hi + s2 + 1 + 2 * pad, dtype=np.int16)
-                init = (np.arange(l1_lo)[:, None] * d1 + col[None, :]).ravel()
-                np.add.at(pres, pad + init, 1)
-                for l1 in range(l1_lo, l1_hi + 1):
+                t = 0
+                for l1 in range(1, l1_hi + 1):
                     s1 = (l1 - 1) * d1
-                    if l1 > l1_lo:
-                        np.add.at(pres, pad + s1 + col, 1)
-                    mn, mx = (s1, s2) if s1 <= s2 else (s2, s1)
-                    region = pres[pad + mx - n + 1: pad + mn + n] > 0
-                    windows = sliding_window_view(region, n)
-                    emit(np.packbits(windows, axis=1, bitorder="little"))
-    return finish()
-
+                    t |= col << s1
+                    if l1 >= l1_lo:
+                        # both corners, positions s1 and s2, inside the window
+                        k_lo, k_hi = (s2, s1 + n) if s1 <= s2 else (s1, s2 + n)
+                        words.update((t >> k) & full for k in range(k_lo, k_hi))
+    return np.array(sorted(words), dtype="<u8").view(np.uint8).reshape(-1, 8)

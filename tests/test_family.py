@@ -2,11 +2,12 @@ import math
 
 import pytest
 
+from sumdisc import family
 from sumdisc.family import (BadK, FamilyConfig, MSet, build_family,
                             build_m_set, family_stats, in_m_interval, kbar,
                             length1_at_scale, length2_at_scale)
-from sumdisc.hypergraph import edge_cardinality
-from sumdisc.numtheory import totatives
+from sumdisc.hypergraph import SumEdge, edge_cardinality
+from sumdisc.numtheory import InternalInvariantViolation, totatives
 
 
 class TestMSet:
@@ -143,7 +144,14 @@ class TestBuildFamily:
             fam = build_family(FamilyConfig(n=n))
             for e in fam.all_edges():
                 assert e.span <= n - 1
-            assert not fam.clipped
+
+    @pytest.mark.parametrize("n", [24, 1024])
+    def test_containment_violation_raises(self, n, monkeypatch):
+        # an edge that escapes [0, n-1] is a construction bug at every n
+        monkeypatch.setattr(family, "_e1_edges", lambda n: [SumEdge(n, 2, 1, 1)])
+        with pytest.raises(InternalInvariantViolation, match="containment") as err:
+            build_family(FamilyConfig(n=n))
+        assert err.value.module == "family"
 
     def test_degenerate_n1(self):
         fam = build_family(FamilyConfig(n=1))
@@ -156,7 +164,6 @@ class TestBuildFamily:
         assert fam.e1[0] in fam.e1 and fam.e1[0] not in fam.e2 + e3
         assert fam.e2[0] in fam.e2 and fam.e2[0] not in fam.e1 + e3
         assert e3[0] not in fam.e1 + fam.e2
-        from sumdisc.hypergraph import SumEdge
         assert SumEdge(999, 999, 999, 999) not in list(fam.all_edges())
 
 
@@ -165,7 +172,7 @@ class TestStats:
         fam = build_family(FamilyConfig(n=100))
         st = family_stats(fam)
         assert (st.count_e1, st.count_e2, st.count_e3) == (24, 0, 126)
-        assert st.total == 150 and st.clipped == 0
+        assert st.total == 150
 
     def test_max_element_in_range(self):
         fam = build_family(FamilyConfig(n=4096))

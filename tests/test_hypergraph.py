@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -93,6 +94,12 @@ class TestColoring:
             Coloring(3, [1, 0, -1])
         with pytest.raises(ValueError):
             Coloring(3, [1, 1])
+        # values that an int8 cast would turn into +-1
+        with pytest.raises(ValueError):
+            Coloring(3, np.array([257, 255, 1]))
+        with pytest.raises(ValueError):
+            Coloring(2, np.array([1.7, -1.2]))
+        assert Coloring(2, np.array([1.0, -1.0])).values.tolist() == [1, -1]
 
     def test_extension_by_zero(self):
         chi = Coloring.alternating(10)
@@ -165,6 +172,16 @@ class TestEnumeration:
     # distinct-edge counts from the literal brute-force oracle above
     FROZEN_COUNTS = {1: 1, 2: 3, 3: 7, 4: 15, 5: 31, 6: 63, 7: 119, 8: 215,
                      12: 1369, 16: 5068}
+    # SHA-256 of the enumeration's bytes: a change to the edge set, the
+    # row order or the byte layout shows here
+    FROZEN_SHA256 = {
+        9: "238d1dc1ffcba8f8d9e984729139c291814f134636bddf53a43fce0ee906fd2d",
+        16: "dcd0bd51b0e3f1ffe3c517529ab5e8e1ee6321f8b252df71866d10ff0da9bc0f",
+        17: "5ee34fcf5fc22bc0d27764d02704c7ef24386babbf43443c8fe6cbea781af663",
+        31: "d83887f96c131bb918ed937712794d78b0d637dc93b110faa1420ca436377eb1",
+        32: "0fe3697d41ab7d6d8e2baf8b017c9358c712014f7fad05281075c1b519647f00",
+        33: "0f5be342174d9ed9679d3f8bdeb6e0bc033e9fa51ce4846f3b092b0c837d12c8",
+    }
 
     def test_tiny_examples(self, edge_sets):
         assert edge_sets(1) == [frozenset({1})]
@@ -182,6 +199,12 @@ class TestEnumeration:
     def test_frozen_counts(self, n):
         assert len(canonical_edge_masks(n)) == self.FROZEN_COUNTS[n]
 
+    @pytest.mark.parametrize("n", sorted(FROZEN_SHA256))
+    def test_frozen_bytes(self, n):
+        masks = canonical_edge_masks(n)
+        assert masks.dtype == np.uint8 and masks.shape[1] == 8
+        assert hashlib.sha256(masks.tobytes()).hexdigest() == self.FROZEN_SHA256[n]
+
     def test_deterministic(self):
         a = canonical_edge_masks(10)
         b = canonical_edge_masks(10)
@@ -193,6 +216,8 @@ class TestEnumeration:
             assert s and min(s) >= 1 and max(s) <= 5
 
     def test_cap(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            canonical_edge_masks(0)
         with pytest.raises(CapExceeded):
             canonical_edge_masks(65)
         with pytest.raises(CapExceeded):
