@@ -176,7 +176,8 @@ def sweep_cmd(n: int, grid: int, n_random: int, seed: int, adversarial: bool,
               required=True)
 @click.option("--trials", type=_POSITIVE, default=100, show_default=True)
 @click.option("--restarts", type=_POSITIVE, default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--out", default="-", show_default=True)
 def disc_cmd(n: int, method: str, trials: int, restarts: int, seed: int,
              out: str) -> None:
@@ -221,7 +222,8 @@ def _parse_colorings(spec: str, n: int, seed: int) -> list[tuple[str, Coloring]]
 @main.command("twonorm")
 @click.option("--n", type=_POSITIVE, required=True)
 @click.option("--colorings", default="random:10,ones,alt", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--out", default="-", show_default=True)
 def twonorm_cmd(n: int, colorings: str, seed: int, out: str) -> None:
     """Averaging lower bound over the family, one CSV row per coloring."""

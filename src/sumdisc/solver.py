@@ -5,8 +5,9 @@ The averaging bound evaluates
 ``S = sum over family edges E, offsets a of chi(a + E)**2`` exactly.  For
 each edge, S_E collapses to a dot product between the autocorrelation of
 the coloring and the difference profile of the edge (how often each gap u
-occurs between two edge elements), so a whole-family evaluation is two
-correlations and a dot product per coloring once the profiles are built.
+occurs between two edge elements), so a whole-family evaluation is one
+autocorrelation, one dot product (the total) and one ``reduceat`` (the
+per-edge sums) per coloring once the profiles are built.
 S >= n**3 / 90000 holds for every coloring, and the offset maximizer
 always exceeds sqrt(n)/1200 in absolute color value; both facts are
 checked on every call.
@@ -179,17 +180,26 @@ class TwoNormEngine:
 @functools.cache
 def _packed_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The canonical edge masks as one uint64 word per edge, and their
-    sizes, cached per n (so at most ``ENUMERATION_CAP`` entries)."""
+    int16 sizes, cached per n (so at most ``ENUMERATION_CAP`` entries)."""
     words = canonical_edge_masks(n).view(np.uint64).ravel()
-    return words, np.bitwise_count(words).astype(np.int64)
+    return words, np.bitwise_count(words).astype(np.int16)
+
+
+def _imbalances(words: np.ndarray, sizes: np.ndarray,
+                pos: np.ndarray) -> np.ndarray:
+    """The ``(len(pos), len(words))`` int16 matrix of |color value|,
+    ``|2*popcount(pos & word) - size|``, for colorings given as the uint64
+    words of their +1 vertices (no value exceeds 2*64)."""
+    plus = np.bitwise_count(pos[:, None] & words).astype(np.int16)
+    return np.abs(2 * plus - sizes)
 
 
 def _max_imbalance(words: np.ndarray, sizes: np.ndarray,
                    signs: np.ndarray) -> tuple[int, int]:
     """Max |color value| over the edge words and the argmax edge."""
     bits = np.packbits(signs > 0, bitorder="little").tobytes()
-    pos = np.uint64(int.from_bytes(bits, "little"))
-    imb = np.abs(2 * np.bitwise_count(words & pos).astype(np.int64) - sizes)
+    pos = np.array([int.from_bytes(bits, "little")], dtype=np.uint64)
+    imb = _imbalances(words, sizes, pos)[0]
     idx = int(np.argmax(imb))
     return int(imb[idx]), idx
 
@@ -208,31 +218,21 @@ def _require_positive(name: str, count: int) -> None:
 def exact_discrepancy(n: int) -> DiscReport:
     """Exact minimum over all colorings of the maximum edge imbalance.
 
-    Exhausts the 2**(n-1) colorings with chi(1) = +1 (global sign flip is a
-    symmetry), pruning a coloring as soon as one edge already matches the
-    incumbent.  Edges are scanned largest first.
+    Exhausts the 2**(n-1) colorings with chi(1) = +1 (the sign flip is a
+    symmetry), words ``pos = 2x + 1``, in ``_imbalances`` batches of about
+    2**16 (coloring, edge) cells; the witness is the least minimizing x.
     """
     if n > EXACT_CAP:
         raise CapExceeded(f"exact search capped at n={EXACT_CAP}")
     words, sizes = _packed_edges(n)
-    order = np.argsort(-sizes, kind="stable")
-    edges = [(int(words[i]), int(sizes[i])) for i in order]
-    best = n + 1
-    best_pos = 1
-    for x in range(1 << (n - 1)):
-        pos = (x << 1) | 1
-        cur = 0
-        pruned = False
-        for mask, size in edges:
-            imb = abs(2 * (pos & mask).bit_count() - size)
-            if imb >= best:
-                pruned = True
-                break
-            if imb > cur:
-                cur = imb
-        if not pruned:
-            best = cur
-            best_pos = pos
+    step = 2 * max(1, (1 << 16) // len(words))
+    best, best_pos = n + 1, 1
+    for lo in range(1, 1 << n, step):
+        pos = np.arange(lo, min(lo + step, 1 << n), 2, dtype=np.uint64)
+        worst = _imbalances(words, sizes, pos).max(axis=1)
+        i = int(np.argmin(worst))
+        if worst[i] < best:
+            best, best_pos = int(worst[i]), lo + 2 * i
     signs = np.array([1 if best_pos >> (z - 1) & 1 else -1
                       for z in range(1, n + 1)], dtype=np.int8)
     _, idx = _max_imbalance(words, sizes, signs)

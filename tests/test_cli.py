@@ -249,6 +249,10 @@ class TestFailureClasses:
         ["twonorm", "--n", "576", "--colorings", "ones,random:0"],
         ["twonorm", "--n", "576", "--colorings", "ones,stripes"],
         ["twonorm", "--n", "576", "--colorings", "random:\u00b2"],
+        # numpy's generators refuse a negative seed
+        ["twonorm", "--n", "100", "--seed", "-1"],
+        ["disc", "--n", "12", "--method", "random", "--seed", "-1"],
+        ["disc", "--n", "12", "--method", "local", "--seed", "-3"],
         # --threads below 1 is refused before any pool is started
         ["sweep", "--n", "1024", "--grid", "4", "--threads", "0"],
         ["sweep", "--n", "1024", "--grid", "4", "--threads", "-2"],

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ from sumdisc.solver import (DiscReport, FamilyMismatch, TwoNormEngine,
 
 @pytest.fixture(scope="module")
 def exact_table():
-    return {n: exact_discrepancy(n) for n in range(1, 17)}
+    return {n: exact_discrepancy(n) for n in range(1, 19)}
 
 
 class TestTwoNorm:
@@ -75,11 +77,25 @@ class TestTwoNorm:
 class TestExact:
     # full sequence for n = 1..16, frozen from this exhaustive oracle and
     # double-checked against a no-pruning search over the literal edge
-    # definition.  Note the dip at n=12: the hypergraph at n is NOT an
-    # induced sub-hypergraph of the one at n+1 (windows clip differently at
-    # the right boundary), so the sequence is not monotone.
+    # definition; 17 and 18 are values the batched scan and the earlier
+    # per-edge pruning loop agree on.  Note the dip at n=12: the hypergraph
+    # at n is NOT an induced sub-hypergraph of the one at n+1 (windows clip
+    # differently at the right boundary), so the sequence is not monotone.
     FROZEN = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3,
-              9: 4, 10: 4, 11: 5, 12: 4, 13: 5, 14: 5, 15: 5, 16: 5}
+              9: 4, 10: 4, 11: 5, 12: 4, 13: 5, 14: 5, 15: 5, 16: 5,
+              17: 6, 18: 5}
+    # SHA-256 of each whole JSON report (value, edge count and witnesses),
+    # frozen from the per-edge pruning loop the batched scan replaced
+    REPORT_SHA256 = {
+        11: "10ef991720be48cca0d8fc7b4123dcd902b59a77a0a851f8564f51527c6ad982",
+        12: "2d5b8f1f54268e994a33d0ccae835638eec290f236b4fd5afa749366467121c4",
+        13: "cf1395733ffb4db63d81507eb49cf3fa8609120c586022b358cb84a9afcca567",
+        14: "e052297ea4dfa51530579595841baa5f137d885a70f499a8ae75e8c5ec9f091b",
+        15: "0e154cbb43ac4ac5fb5343ca495744c938ec42d457a5a9a5e7297315d3b70eb7",
+        16: "27794e5b9c5a23057e851f452acb358cc8c857240783834c7f67e091a504e999",
+        17: "cc923ef3bf082668692cfca5b06a138c9ae157ea89c97a4be1e2f4e353907a53",
+        18: "079c0dc1d3e8ec34ada226634a4f31d112b8daa5ed03039e40cb9420d8a62ae0",
+    }
 
     def test_n1(self, exact_table):
         assert exact_table[1].disc_value == 1
@@ -92,9 +108,13 @@ class TestExact:
         for n, val in self.FROZEN.items():
             assert exact_table[n].disc_value == val
 
+    @pytest.mark.parametrize("n", sorted(REPORT_SHA256))
+    def test_frozen_report(self, n, exact_table):
+        text = json.dumps(exact_table[n].to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256[n]
+
     def test_values_in_sane_range(self, exact_table):
-        values = [exact_table[n].disc_value for n in range(1, 17)]
-        assert all(1 <= v <= n for v, n in zip(values, range(1, 17)))
+        assert all(1 <= rep.disc_value <= n for n, rep in exact_table.items())
 
     def test_known_non_monotone_step(self, exact_table):
         # regression for the verified counterexample to monotonicity
@@ -194,7 +214,7 @@ class TestEdgeWords:
         # the two words that only a 64-vertex edge set holds: vertex 64
         # alone, and every vertex
         words = np.array([1 << 63, 2 ** 64 - 1], dtype=np.uint64)
-        sizes = np.array([1, 64], dtype=np.int64)
+        sizes = np.array([1, 64], dtype=np.int16)
         # vertex 64 is the only +1: the full word scores |2 - 64|
         signs = -np.ones(64, dtype=np.int8)
         signs[63] = 1
@@ -204,3 +224,9 @@ class TestEdgeWords:
         assert solver._max_imbalance(words, sizes, signs) == (1, 0)
         assert solver._decode_row(words[0], 64) == (64,)
         assert solver._decode_row(words[1], 64) == tuple(range(1, 65))
+        # two colorings in one call: only vertex 64 at +1, and vertices
+        # 1..32 at +1 with vertex 64 at -1
+        pos = np.array([1 << 63, 2 ** 32 - 1], dtype=np.uint64)
+        imb = solver._imbalances(words, sizes, pos)
+        assert imb.dtype == np.int16
+        assert imb.tolist() == [[1, 62], [1, 0]]
