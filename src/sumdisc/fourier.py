@@ -7,11 +7,12 @@ convention.  Phases are reduced exactly: for rational alpha = p/q the
 phase of z is (z*p mod q)/q, so no large-argument trigonometry ever
 happens.
 
-``sum_sq_disc`` accumulates the squared color values of all translates of
-an edge by a direct translate loop (exact integers); ``parseval_check``
-compares it against uniform-grid quadrature of |chi_hat|^2 * |edge_hat|^2,
-which is exact for trigonometric polynomials once the grid has more points
-than twice the polynomial degree.
+``sum_sq_disc`` sums the squared color values of all translates of an
+edge, each value an integer correlation (a float FFT rounded to integers
+under a checked residue bound); ``parseval_check`` compares it against
+uniform-grid quadrature of |chi_hat|^2 * |edge_hat|^2, which is exact for
+trigonometric polynomials once the grid has more points than twice the
+polynomial degree.
 """
 
 from __future__ import annotations
@@ -84,15 +85,18 @@ def indicator_fourier(e: SumEdge, alpha: Fraction) -> complex:
 def sum_sq_disc(chi: Coloring, e: SumEdge) -> int:
     """Sum over all offsets of the squared color value of the translate.
 
-    Offsets outside [-span, N] contribute nothing, so the sum is finite;
-    the accumulation is exact integer arithmetic.
+    Offsets outside [-span, N] contribute nothing, so the sum is finite.
+    The translate values come from ``translate_values``, a float FFT
+    correlation rounded to integers under a checked residue bound, and
+    their squares are summed in int64.
     """
     c = translate_values(chi, e)
     return int(np.dot(c, c))
 
 
 def parseval_check(chi: Coloring, e: SumEdge, m: int) -> float:
-    """Relative gap between the translate-loop total and grid quadrature.
+    """Relative gap between the ``sum_sq_disc`` total (integer translate
+    values from a rounded FFT correlation) and grid quadrature.
 
     Requires m > 2 * (N + span): the integrand is a trigonometric
     polynomial of degree N - 1 + span, and uniform quadrature is exact
@@ -109,9 +113,10 @@ def parseval_check(chi: Coloring, e: SumEdge, m: int) -> float:
 
 
 def _grid_transform(positions: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
-    """|transform|^2 on the m-point grid via an FFT of the padded signal."""
+    """|transform|^2 on the m-point grid via an FFT of the padded signal;
+    the positions are distinct and below m."""
     padded = np.zeros(m, dtype=np.float64)
-    padded[positions % m] += weights
+    padded[positions] = weights
     return np.abs(np.fft.fft(padded)) ** 2
 
 
@@ -122,6 +127,8 @@ def edge_spectrum(e: SumEdge, m: int) -> list[complex]:
 
 def quadrature_sum_sq(chi: Coloring, edges, m: int) -> float:
     """(1/m) * sum_t |chi_hat(t/m)|^2 * sum_E |edge_hat(t/m)|^2."""
+    if chi.n >= m:
+        raise GridTooCoarse(f"coloring length {chi.n} does not fit grid m={m}")
     chi_power = _grid_transform(np.arange(1, chi.n + 1), chi.values.astype(np.float64), m)
     edge_power = np.zeros(m)
     for e in edges:

@@ -165,22 +165,44 @@ def color_value(chi: Coloring, e: SumEdge, a: int) -> int:
     return int(chi.values[inside - 1].sum())
 
 
+def exact_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.correlate(a, b, "full")`` of integer vectors, as int64:
+    ``c[k] = sum over j of a[j + k - (len(b) - 1)] * b[j]``.
+
+    One real FFT product, zero-padded to a power of two m >= len(a) +
+    len(b) - 1 so nothing wraps around, then rounded to the nearest
+    integer.  The float error of each entry is ``|a|_2 * |b|_2 * O(eps *
+    log2 m)`` (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 24), about 1e-10 for +-1 vectors at n = 16384 (the largest
+    residue measured there is 9.1e-12, and 6.5e-11 at n = 2**17), so the
+    check that every residue is below 0.25 leaves the rounding exact by a
+    wide margin.
+    """
+    size = a.size + b.size - 1
+    m = 1 << (size - 1).bit_length()
+    fft = np.fft  # loaded on first use: importing numpy does not load it
+    raw = fft.irfft(fft.rfft(a, m) * fft.rfft(b[::-1], m), m)[:size]
+    out = np.rint(raw)
+    residue = float(np.max(np.abs(raw - out)))
+    check_invariant(residue < 0.25, "fft-rounding",
+                    f"correlation of lengths {a.size}, {b.size} is {residue} "
+                    f"from the nearest integers")
+    return out.astype(np.int64)
+
+
 def translate_values(chi: Coloring, e: SumEdge) -> np.ndarray:
     """Color values of all translates a + E for a in [-span, N], as int64.
 
     Index i corresponds to offset a = i - span.  Offsets outside this range
-    give empty intersections, hence value 0.
+    give empty intersections, hence value 0.  The values are the
+    correlation of chi (indexed from vertex 0, where it is 0) with the
+    edge's indicator.
     """
-    span = e.span
-    els = edge_elements_array(e)
-    # ext[span + z] = chi(z), zero elsewhere
-    ext = np.zeros(2 * span + chi.n + 1, dtype=np.int64)
-    ext[span + 1: span + 1 + chi.n] = chi.values
-    out = np.zeros(span + chi.n + 1, dtype=np.int64)
-    for x in els.tolist():
-        # out[i] = value at offset a = i - span; reads ext[span + a + x]
-        out += ext[x: x + span + chi.n + 1]
-    return out
+    indicator = np.zeros(e.span + 1, dtype=np.int8)
+    indicator[edge_elements_array(e)] = 1
+    chi0 = np.zeros(chi.n + 1, dtype=np.int8)
+    chi0[1:] = chi.values
+    return exact_correlation(chi0, indicator)
 
 
 def count_progressions(n: int) -> int:

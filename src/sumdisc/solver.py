@@ -7,7 +7,11 @@ each edge, S_E collapses to a dot product between the autocorrelation of
 the coloring and the difference profile of the edge (how often each gap u
 occurs between two edge elements), so a whole-family evaluation is one
 autocorrelation, one dot product (the total) and one ``reduceat`` (the
-per-edge sums) per coloring once the profiles are built.
+per-edge sums) per coloring once the profiles are built.  The
+autocorrelation and the witness edge's translate values are correlations
+computed as float FFTs and rounded to integers
+(``hypergraph.exact_correlation``), which checks that every rounding
+residue is below 0.25; the sums over them are int64.
 S >= n**3 / 90000 holds for every coloring, and the offset maximizer
 always exceeds sqrt(n)/1200 in absolute color value; both facts are
 checked on every call.
@@ -25,8 +29,9 @@ import numpy as np
 from .family import FamilyE0
 from .hypergraph import (CapExceeded, Coloring, SumEdge, TranslatedEdgeValue,
                          canonical_edge_masks, count_progressions,
-                         edge_elements_array, max_edge_imbalance,
-                         translate_values, window_vertices, ENUMERATION_CAP)
+                         edge_elements_array, exact_correlation,
+                         max_edge_imbalance, translate_values,
+                         window_vertices, ENUMERATION_CAP)
 # Unused here; bench/spans.py wraps ``solver.edge_cardinality`` by name.
 from .hypergraph import edge_cardinality  # noqa: F401
 from .numtheory import check_invariant
@@ -142,8 +147,9 @@ class TwoNormEngine:
     def evaluate(self, chi: Coloring) -> TwoNormBound:
         if chi.n != self.n:
             raise FamilyMismatch(f"coloring n={chi.n}, family n={self.n}")
-        v = chi.values.astype(np.int64)
-        autocorr = np.correlate(v, v, "full")[self.n - 1:]
+        autocorr = exact_correlation(chi.values, chi.values)[self.n - 1:]
+        check_invariant(autocorr[0] == self.n, "autocorrelation-origin",
+                        f"A(0) = {autocorr[0]} for a +-1 coloring of n={self.n}")
         total = int(np.dot(self.fam_profile, autocorr))
         check_invariant(90000 * total >= self.n ** 3, "two-norm-bound",
                         f"squared-imbalance total {total} < n^3/90000 at n={self.n}")

@@ -168,6 +168,13 @@ engine = TwoNormEngine(build_family(FamilyConfig(n=100)))
 engine.fam_profile[:] = 0
 engine.evaluate(Coloring.random(100, seed=0))
 """,
+    "hypergraph fft-rounding": """
+import numpy as np
+from sumdisc.hypergraph import Coloring, SumEdge, translate_values
+irfft = np.fft.irfft
+np.fft.irfft = lambda *a, **k: irfft(*a, **k) + 0.3
+translate_values(Coloring.random(100, seed=0), SumEdge(1, 3, 5, 2))
+""",
     "family count-e3": """
 from sumdisc import family
 e3_edges = family._e3_edges

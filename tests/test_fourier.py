@@ -140,6 +140,17 @@ class TestParseval:
         with pytest.raises(GridTooCoarse):
             parseval_check(chi, SumEdge(1, 2, 1, 1), 18)
 
+    def test_coloring_must_fit_grid(self):
+        # positions 1..n alias on an m-point grid once n >= m
+        e = SumEdge(1, 2, 1, 1)
+        assert sum_sq_disc(Coloring.all_plus(20), e) == 78
+        with pytest.raises(GridTooCoarse):
+            quadrature_sum_sq(Coloring.all_plus(20), [e], 16)
+        with pytest.raises(GridTooCoarse):
+            quadrature_sum_sq(Coloring.all_plus(16), [SumEdge(1, 1, 1, 1)], 16)
+        point = quadrature_sum_sq(Coloring.all_plus(15), [SumEdge(1, 1, 1, 1)], 16)
+        assert point == pytest.approx(15, abs=1e-10)
+
     def test_every_small_n(self):
         rng = random.Random(314)
         for n in range(1, 65):

@@ -14,8 +14,10 @@ from sumdisc.hypergraph import (CapExceeded, Coloring,
                                 InternalInvariantViolation, SumEdge,
                                 canonical_edge_masks, color_value,
                                 count_progressions, edge_cardinality,
-                                edge_elements_array, max_edge_imbalance,
-                                translate_values, window_vertices)
+                                edge_elements_array, exact_correlation,
+                                max_edge_imbalance, translate_values,
+                                window_vertices)
+from sumdisc.family import FamilyConfig, build_family
 from sumdisc.solver import _max_imbalance, _packed_edges
 
 
@@ -166,6 +168,53 @@ class TestColorValue:
                 conv = sum(chi(z) for z in range(a, a + e.span + 1)
                            if z - a in set(els))
                 assert color_value(chi, e, a) == conv
+
+    @pytest.mark.parametrize("n, colliding", [(576, 0), (1024, 4)])
+    def test_translate_values_match_element_loop(self, n, colliding):
+        # every edge of the family against a plain loop over the edge's
+        # elements; the first family with colliding edges is at n=700
+        edges = list(build_family(FamilyConfig(n=n)).all_edges())
+        assert sum(not e.collision_free for e in edges) == colliding
+        for chi in (Coloring.random(n, seed=n), Coloring.alternating(n)):
+            for e in edges:
+                assert np.array_equal(translate_values(chi, e),
+                                      element_loop_translates(chi, e)), e
+
+
+def element_loop_translates(chi, e):
+    """Color values of the translates a + E, a in [-span, N], as a sum of
+    one shifted copy of chi per element of E."""
+    span = e.span
+    ext = np.zeros(2 * span + chi.n + 1, dtype=np.int64)
+    ext[span + 1: span + 1 + chi.n] = chi.values
+    out = np.zeros(span + chi.n + 1, dtype=np.int64)
+    for x in edge_elements_array(e).tolist():
+        out += ext[x: x + span + chi.n + 1]
+    return out
+
+
+class TestExactCorrelation:
+    KINDS = {"ones": Coloring.all_plus, "alt": Coloring.alternating,
+             "block": Coloring.block,
+             "random0": lambda n: Coloring.random(n, seed=0),
+             "random1": lambda n: Coloring.random(n, seed=1)}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 576, 4096, 16384])
+    def test_autocorrelation_matches_numpy(self, n, kind):
+        v = self.KINDS[kind](n).values
+        got = exact_correlation(v, v)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.correlate(v.astype(np.int64),
+                                                v.astype(np.int64), "full"))
+
+    @pytest.mark.parametrize("n, length", [(1, 5), (7, 1), (40, 13), (576, 193)])
+    def test_cross_correlation_matches_numpy(self, n, length):
+        # unequal lengths and an asymmetric second vector pin the orientation
+        a = Coloring.random(n, seed=n).values.astype(np.int64)
+        b = np.random.default_rng(length).integers(-3, 4, size=length)
+        assert np.array_equal(exact_correlation(a, b),
+                              np.correlate(a, b, "full"))
 
 
 class TestEnumeration:

@@ -9,6 +9,7 @@ from sumdisc import solver
 from sumdisc.family import FamilyConfig, build_family
 from sumdisc.fourier import quadrature_sum_sq, sum_sq_disc
 from sumdisc.hypergraph import CapExceeded, Coloring, color_value
+from sumdisc.numtheory import InternalInvariantViolation
 from sumdisc.solver import (DiscReport, FamilyMismatch, TwoNormEngine,
                             exact_discrepancy, local_search_upper,
                             random_coloring_upper)
@@ -64,6 +65,16 @@ class TestTwoNorm:
         chi = Coloring.random(100, seed=5)
         assert engine.evaluate(chi).total == engine.evaluate(chi).total
         assert engine.evaluate(chi).total == TwoNormEngine(fam).evaluate(chi).total
+
+    def test_autocorrelation_origin_is_checked(self, monkeypatch):
+        n = 100
+        engine = TwoNormEngine(build_family(FamilyConfig(n=n)))
+        exact = solver.exact_correlation
+        monkeypatch.setattr(solver, "exact_correlation",
+                            lambda a, b: exact(a, b) + 1)
+        with pytest.raises(InternalInvariantViolation) as exc:
+            engine.evaluate(Coloring.random(n, seed=0))
+        assert exc.value.invariant == "autocorrelation-origin"
 
     def test_averaging_inequality(self):
         # max_(E,a) |chi(E_a)|^2 >= S / (2n * |family|)
