@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .family import (in_m_interval, kbar, length1_at_scale, length2_at_scale)
+from .family import e1_edge, e2_edge, e3_edge, in_m_interval, kbar
 from .fourier import indicator_fourier
 from .hypergraph import SumEdge, edge_cardinality
 from .numtheory import (InternalInvariantViolation, dirichlet_approx,
@@ -157,20 +157,16 @@ def certify(alpha: Fraction, n: int) -> Certificate:
     case = classify_case(alpha, delta1, a1, n)
 
     if case == 1:
-        l1 = (n + 6 * delta1 - 1) // (6 * delta1)
-        edge = SumEdge(d1=delta1, l1=l1, d2=1, l2=1)
-        return _finish(alpha, n, case, delta1, a1, edge, n / 288)
+        return _finish(alpha, n, case, delta1, a1, e1_edge(n, delta1), n / 288)
 
     if case == 2:
-        l1 = (n + 12 * delta1 - 1) // (12 * delta1)
         delta2, a2 = dirichlet_approx(alpha, delta1 - 1)
         if math.gcd(delta1, delta2) != 1:
             raise InternalInvariantViolation(
                 "coprime-denominators", f"gcd({delta1},{delta2}) != 1")
-        l2 = (delta1 - 1 + 11) // 12
-        edge = SumEdge(d1=delta1, l1=l1, d2=delta2, l2=l2)
+        edge = e2_edge(n, delta1, delta2)
         _size_checks(edge, 150, n)
-        _phase_budget_checks(p, q, e1, l1, delta2, a2, l2)
+        _phase_budget_checks(p, q, e1, edge.l1, delta2, a2, edge.l2)
         return _finish(alpha, n, case, delta1, a1, edge, n / 300,
                        delta2=delta2, a2=a2)
 
@@ -218,14 +214,12 @@ def certify(alpha: Fraction, n: int) -> Certificate:
         raise InternalInvariantViolation(
             "coprime-denominators", f"gcd({delta1},{delta2}) != 1")
 
-    l1 = length1_at_scale(n, k)
-    l2 = length2_at_scale(n, k)
-    if not delta2 > l1:
+    edge = e3_edge(n, delta1, k, delta2)
+    if not delta2 > edge.l1:
         raise InternalInvariantViolation(
-            "second-difference-dominates", f"d2={delta2} <= l1={l1}")
+            "second-difference-dominates", f"d2={delta2} <= l1={edge.l1}")
     a2 = mu + ceil_d * four_k * a1
-    _phase_budget_checks(p, q, e1, l1, delta2, a2, l2)
-    edge = SumEdge(d1=delta1, l1=l1, d2=delta2, l2=l2)
+    _phase_budget_checks(p, q, e1, edge.l1, delta2, a2, edge.l2)
     _size_checks(edge, 144, n)
     return _finish(alpha, n, 3, delta1, a1, edge, n / 288,
                    delta2=delta2, a2=a2, k=k, s=s, gamma=gamma, b=b,
@@ -287,7 +281,9 @@ def sweep_alphas(n: int, grid: int, n_random: int = 0, seed: int = 0,
         eps_list = [inv_n - Fraction(1, n * n), inv_n,
                     inv_n + Fraction(1, n * n), Fraction(1, 2 * n),
                     Fraction(1, n * n)]
-        denoms = list(range(1, 25)) + [25, 26, math.isqrt(n) - 1, math.isqrt(n)]
+        # isqrt(n) - 1 is 0 below n = 4
+        denoms = [d for d in (*range(1, 27), math.isqrt(n) - 1, math.isqrt(n))
+                  if d >= 1]
         for d in denoms:
             for a in range(0, d + 1):
                 if a and math.gcd(a, d) != 1:

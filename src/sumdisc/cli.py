@@ -30,6 +30,8 @@ from .numtheory import InternalInvariantViolation
 
 _ALPHA_RE = re.compile(r"^\s*(\d+)\s*/\s*(\d+)\s*$")
 _POSITIVE = click.IntRange(min=1)
+# below it certify has no certificate, so the command is refused before any work
+_CERTIFIABLE = click.IntRange(min=certifier.MIN_N)
 
 
 def _parse_alpha(_ctx, _param, value: str) -> Fraction:
@@ -60,8 +62,8 @@ def _output(path: str):
 
 class _Command(click.Command):
     """A sumdisc command.  A failed invariant exits 1 with a JSON record
-    on stderr; an n below certify's minimum or above a search cap is a
-    usage error (exit 2).  Nothing else is caught."""
+    on stderr; an n above a search cap is a usage error (exit 2).  Nothing
+    else is caught."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -71,7 +73,7 @@ class _Command(click.Command):
                       "message": str(exc)}
             click.echo(json.dumps(record), err=True)
             ctx.exit(1)
-        except (certifier.BelowMinN, CapExceeded) as exc:
+        except CapExceeded as exc:
             raise click.UsageError(str(exc), ctx) from exc
 
 
@@ -108,7 +110,7 @@ def family_cmd(n: int, fmt: str, out: str, stats: bool) -> None:
 
 
 @main.command("certify")
-@click.option("--n", type=_POSITIVE, required=True)
+@click.option("--n", type=_CERTIFIABLE, required=True)
 @click.option("--alpha", callback=_parse_alpha, required=True,
               help="exact fraction p/q in [0, 1)")
 @click.option("--out", default="-", show_default=True)
@@ -134,7 +136,7 @@ def _cert_row(cert: certifier.Certificate) -> list:
 
 
 @main.command("sweep")
-@click.option("--n", type=_POSITIVE, required=True)
+@click.option("--n", type=_CERTIFIABLE, required=True)
 @click.option("--grid", type=_POSITIVE, default=1000, show_default=True)
 @click.option("--random", "n_random", type=click.IntRange(min=0), default=0,
               show_default=True)
@@ -260,7 +262,7 @@ def spectrum_cmd(d1: int, l1: int, d2: int, l2: int, grid: int, out: str) -> Non
 
 
 @main.command("verify-lemmas")
-@click.option("--n", type=click.IntRange(min=certifier.MIN_N), required=True)
+@click.option("--n", type=_CERTIFIABLE, required=True)
 @click.option("--grid", type=_POSITIVE, default=2000, show_default=True,
               help="sweep grid size for the certification check")
 @click.option("--seed", type=int, default=0, show_default=True)

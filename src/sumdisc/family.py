@@ -154,30 +154,39 @@ class FamilyE0:
             yield edge
 
 
+def e1_edge(n: int, d1: int) -> SumEdge:
+    """The e1 edge of difference d1, one progression of length ceil(n/(6*d1))."""
+    return SumEdge(d1=d1, l1=(n + 6 * d1 - 1) // (6 * d1), d2=1, l2=1)
+
+
+def e2_edge(n: int, d1: int, d2: int) -> SumEdge:
+    """The e2 edge (d1, d2), lengths ceil(n/(12*d1)) and ceil((d1-1)/12)."""
+    return SumEdge(d1=d1, l1=(n + 12 * d1 - 1) // (12 * d1), d2=d2,
+                   l2=(d1 - 1 + 11) // 12)
+
+
+def e3_edge(n: int, d1: int, k: int, d2: int) -> SumEdge:
+    """The scale-k e3 edge (d1, d2), lengths ceil(2^(+-k) sqrt(n) / 12)."""
+    return SumEdge(d1=d1, l1=length1_at_scale(n, k), d2=d2,
+                   l2=length2_at_scale(n, k))
+
+
 def _e1_edges(n: int) -> list[SumEdge]:
-    return [SumEdge(d1=d1, l1=(n + 6 * d1 - 1) // (6 * d1), d2=1, l2=1)
-            for d1 in range(1, 25)]
+    return [e1_edge(n, d1) for d1 in range(1, 25)]
 
 
 def _e2_edges(n: int) -> list[SumEdge]:
-    out = []
-    for d1 in range(25, math.isqrt(n) + 1):
-        l1 = (n + 12 * d1 - 1) // (12 * d1)
-        l2 = (d1 - 1 + 11) // 12
-        for d2 in range(1, d1):
-            out.append(SumEdge(d1=d1, l1=l1, d2=d2, l2=l2))
-    return out
+    return [e2_edge(n, d1, d2)
+            for d1 in range(25, math.isqrt(n) + 1) for d2 in range(1, d1)]
 
 
 def _e3_edges(n: int) -> list[tuple[SumEdge, Provenance]]:
     out = []
     for d1 in range(1, math.isqrt(n) + 1):
         for k in range(0, kbar(n, d1) + 1):
-            l1 = length1_at_scale(n, k)
-            l2 = length2_at_scale(n, k)
             for b in totatives(d1):
                 for d2 in build_m_set(n, d1, b, k).members:
-                    out.append((SumEdge(d1=d1, l1=l1, d2=d2, l2=l2),
+                    out.append((e3_edge(n, d1, k, d2),
                                 Provenance(delta1=d1, k=k, b=b)))
     return out
 

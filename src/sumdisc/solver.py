@@ -23,6 +23,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -122,7 +123,6 @@ class TwoNormEngine:
     many colorings."""
 
     def __init__(self, family: FamilyE0):
-        self.family = family
         self.n = family.n
         self.edges = list(family.all_edges())
         self.n_edges = len(self.edges)
@@ -180,8 +180,12 @@ class TwoNormEngine:
 
 
 # ---------------------------------------------------------------------------
-# canonical-edge representations for the search-based solvers
+# search-based solvers: a coloring is the uint64 word of its +1 vertices
 # ---------------------------------------------------------------------------
+
+_SIGNS = np.array([-1, 1], dtype=np.int8)
+_CHUNK = 1024
+
 
 @functools.cache
 def _packed_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,20 +204,36 @@ def _imbalances(words: np.ndarray, sizes: np.ndarray,
     return np.abs(2 * plus - sizes)
 
 
-def _max_imbalance(words: np.ndarray, sizes: np.ndarray,
-                   signs: np.ndarray) -> tuple[int, int]:
-    """Max |color value| over the edge words and the argmax edge."""
-    bits = np.packbits(signs > 0, bitorder="little").tobytes()
-    pos = np.array([int.from_bytes(bits, "little")], dtype=np.uint64)
-    imb = _imbalances(words, sizes, pos)[0]
-    idx = int(np.argmax(imb))
-    return int(imb[idx]), idx
+def _pack(signs: np.ndarray) -> np.ndarray:
+    """Rows of +-1 over the vertices 1..n, n <= 64, as the uint64 words of
+    their +1 vertices: bit z-1 is vertex z, so vertex 64 is the top bit."""
+    bits = np.packbits(signs > 0, axis=1, bitorder="little")
+    return np.pad(bits, ((0, 0), (0, 8 - bits.shape[1]))).view("<u8").ravel()
 
 
-def _decode_row(word: np.uint64, n: int) -> tuple[int, ...]:
-    """The vertices of one edge word, in increasing order."""
-    w = int(word)
-    return tuple(z for z in range(1, n + 1) if w >> (z - 1) & 1)
+def _scan(words: np.ndarray, sizes: np.ndarray,
+          batches: Iterable[np.ndarray]) -> tuple[int, int]:
+    """Least max |color value| over the edge words among the coloring
+    words of ``batches``, and the first word that reaches it, in
+    ``_imbalances`` calls of about 2**16 (coloring, edge) cells."""
+    step = max(1, (1 << 16) // len(words))
+    best, best_word = None, 0
+    for batch in batches:
+        for lo in range(0, len(batch), step):
+            worst = _imbalances(words, sizes, batch[lo:lo + step]).max(axis=1)
+            i = int(np.argmin(worst))
+            if best is None or worst[i] < best:
+                best, best_word = int(worst[i]), int(batch[lo + i])
+    return best, best_word
+
+
+def _witness(n: int, word: int, words: np.ndarray, sizes: np.ndarray) -> dict:
+    """The report's witness fields for a coloring word: its signs, and the
+    vertices of the first edge word at its maximum."""
+    imb = _imbalances(words, sizes, np.array([word], dtype=np.uint64))[0]
+    edge = int(words[int(np.argmax(imb))])
+    return {"witness_coloring": [1 if word >> z & 1 else -1 for z in range(n)],
+            "witness_edge": tuple(z + 1 for z in range(n) if edge >> z & 1)}
 
 
 def _require_positive(name: str, count: int) -> None:
@@ -224,123 +244,92 @@ def _require_positive(name: str, count: int) -> None:
 def exact_discrepancy(n: int) -> DiscReport:
     """Exact minimum over all colorings of the maximum edge imbalance.
 
-    Exhausts the 2**(n-1) colorings with chi(1) = +1 (the sign flip is a
-    symmetry), words ``pos = 2x + 1``, in ``_imbalances`` batches of about
-    2**16 (coloring, edge) cells; the witness is the least minimizing x.
-    """
+    ``_scan`` takes the 2**(n-1) colorings with chi(1) = +1 (the sign flip
+    is a symmetry), words ``pos = 2x + 1``, ``_CHUNK`` at a time in
+    increasing x, so the witness is the least minimizing x."""
     if n > EXACT_CAP:
         raise CapExceeded(f"exact search capped at n={EXACT_CAP}")
     words, sizes = _packed_edges(n)
-    step = 2 * max(1, (1 << 16) // len(words))
-    best, best_pos = n + 1, 1
-    for lo in range(1, 1 << n, step):
-        pos = np.arange(lo, min(lo + step, 1 << n), 2, dtype=np.uint64)
-        worst = _imbalances(words, sizes, pos).max(axis=1)
-        i = int(np.argmin(worst))
-        if worst[i] < best:
-            best, best_pos = int(worst[i]), lo + 2 * i
-    signs = np.array([1 if best_pos >> (z - 1) & 1 else -1
-                      for z in range(1, n + 1)], dtype=np.int8)
-    _, idx = _max_imbalance(words, sizes, signs)
+    batches = (np.arange(lo, min(lo + 2 * _CHUNK, 1 << n), 2, dtype=np.uint64)
+               for lo in range(1, 1 << n, 2 * _CHUNK))
+    best, word = _scan(words, sizes, batches)
     return DiscReport(n=n, method="exhaustive", disc_value=best,
-                      n_edges=len(words),
-                      witness_coloring=signs.tolist(),
-                      witness_edge=_decode_row(words[idx], n))
+                      n_edges=len(words), **_witness(n, word, words, sizes))
+
+
+def _draws(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """``trials`` rows of +-1, ``_CHUNK`` per rng call: the stream of one call
+    per trial.  Lazy, so numpy.random (6 MB) loads after the edge words' peak."""
+    rng = np.random.default_rng(seed)
+    for t in range(0, trials, _CHUNK):
+        yield rng.choice(_SIGNS, size=(min(_CHUNK, trials - t), n))
 
 
 def random_coloring_upper(n: int, trials: int = 100, seed: int = 0) -> DiscReport:
-    """Best-of-``trials`` uniform random colorings over all hyperedges.
-
-    Also reports the harness envelope 4*sqrt(n*ln(2m)); the comparison is
-    logged, not enforced here.  Up to ``ENUMERATION_CAP`` the colorings are
-    scored over the canonical edge masks and m is the exact distinct-edge
-    count.  Above it the same colorings are scored by
-    ``max_edge_imbalance``: a coloring stops as soon as it reaches the best
-    finished value, which leaves the minimum and its witness exact, and m
-    is the progression count, a lower bound.  The envelope grows with m, so the check at that bound is
-    stricter than at the exact m.
-    """
-    if n > ENUMERATION_CAP:
-        return _random_upper_sweep(n, trials, seed)
+    """Best-of-``trials`` uniform random colorings (``_draws``) over all
+    hyperedges, and the envelope 4*sqrt(n*ln(2m)), logged, not enforced.
+    Up to ``ENUMERATION_CAP`` ``_scan`` scores their words and m is the
+    distinct edge count; above it ``_sweep_rows`` scores them and m is the
+    progression count, a lower bound, which makes the envelope stricter."""
     _require_positive("trials", trials)
-    words, sizes = _packed_edges(n)
-    rng = np.random.default_rng(seed)
-    best = None
-    best_signs = None
-    best_idx = 0
-    for _ in range(trials):
-        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-        value, idx = _max_imbalance(words, sizes, signs)
-        if best is None or value < best:
-            best, best_signs, best_idx = value, signs, idx
-    return _random_report(n, trials, seed, best, best_signs,
-                          _decode_row(words[best_idx], n), len(words), False)
-
-
-def _random_upper_sweep(n: int, trials: int, seed: int) -> DiscReport:
-    _require_positive("trials", trials)
-    rng = np.random.default_rng(seed)
-    best = None
-    best_signs = None
-    best_window = None
-    for _ in range(trials):
-        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-        value, window = max_edge_imbalance(Coloring(n, signs), stop_at=best)
-        if window is not None:
-            # a finished sweep is below every earlier coloring's value
-            best, best_signs, best_window = value, signs, window
-    return _random_report(n, trials, seed, best, best_signs,
-                          window_vertices(best_window, n),
-                          count_progressions(n), True)
-
-
-def _random_report(n: int, trials: int, seed: int, best: int,
-                   signs: np.ndarray, edge: tuple[int, ...], m: int,
-                   m_is_lower_bound: bool) -> DiscReport:
+    if n <= ENUMERATION_CAP:
+        words, sizes = _packed_edges(n)
+        best, word = _scan(words, sizes, map(_pack, _draws(n, trials, seed)))
+        m, witness = len(words), _witness(n, word, words, sizes)
+    else:
+        best, witness = _sweep_rows(n, _draws(n, trials, seed))
+        m = count_progressions(n)
     envelope = 4.0 * math.sqrt(n * math.log(2 * m))
     ok = best <= envelope
     log.info("random upper bound at n=%d: disc=%d envelope=%.2f ok=%s",
              n, best, envelope, ok)
-    return DiscReport(n=n, method="random", disc_value=int(best),
-                      n_edges=m, witness_coloring=signs.tolist(),
-                      witness_edge=edge, trials=trials, seed=seed,
-                      envelope=envelope, envelope_ok=bool(ok),
-                      n_edges_lower_bound=m_is_lower_bound)
+    return DiscReport(n=n, method="random", disc_value=int(best), n_edges=m,
+                      trials=trials, seed=seed, envelope=envelope, envelope_ok=bool(ok),
+                      n_edges_lower_bound=n > ENUMERATION_CAP, **witness)
+
+
+def _sweep_rows(n: int, chunks: Iterable[np.ndarray]) -> tuple[int, dict]:
+    """Least ``max_edge_imbalance`` over the +-1 rows of ``chunks``, and the
+    witness fields of the first row at it.  A sweep stops once it reaches
+    the best finished value, so a finished sweep is a new minimum."""
+    best = best_row = best_window = None
+    for rows in chunks:
+        for row in rows:
+            value, window = max_edge_imbalance(Coloring(n, row), stop_at=best)
+            if window is not None:
+                best, best_row, best_window = value, row, window
+    return best, {"witness_coloring": best_row.tolist(),
+                  "witness_edge": window_vertices(best_window, n)}
 
 
 def local_search_upper(n: int, restarts: int = 20, seed: int = 0) -> DiscReport:
     """Single-flip hill climbing on the max edge imbalance, random restarts.
 
-    The objective after every accepted flip is recomputed by a full edge
-    scan, so the reported value is a valid upper bound by construction.
-    """
+    Flipping vertex z+1 of the word ``pos`` is ``pos ^ (1 << z)``.  Every
+    flip is scored by a full edge scan, and the restarts' final words are
+    scanned again, so the value is a valid upper bound by construction."""
     _require_positive("restarts", restarts)
     words, sizes = _packed_edges(n)
+
+    def scan(*pos: int) -> tuple[int, int]:
+        return _scan(words, sizes, [np.array(pos, dtype=np.uint64)])
+
     rng = np.random.default_rng(seed)
-    best = None
-    best_signs = None
-    best_idx = 0
+    climbed = []
     for _ in range(restarts):
-        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
-        value, idx = _max_imbalance(words, sizes, signs)
+        pos = int(_pack(rng.choice(_SIGNS, size=(1, n)))[0])
+        value = scan(pos)[0]
         improved = True
         while improved:
             improved = False
             for z in rng.permutation(n):
-                signs[z] = -signs[z]
-                cand, cidx = _max_imbalance(words, sizes, signs)
-                if cand < value:
-                    value, idx = cand, cidx
-                    improved = True
-                else:
-                    signs[z] = -signs[z]
-        if best is None or value < best:
-            best, best_signs, best_idx = value, signs.copy(), idx
-    check, _ = _max_imbalance(words, sizes, best_signs)
-    check_invariant(check == best, "local-search-rescore",
-                    f"re-verification scan gives {check}, search found {best}")
-    return DiscReport(n=n, method="local_search", disc_value=int(best),
-                      n_edges=len(words),
-                      witness_coloring=best_signs.tolist(),
-                      witness_edge=_decode_row(words[best_idx], n),
-                      restarts=restarts, seed=seed)
+                cand = pos ^ (1 << int(z))
+                if (cand_value := scan(cand)[0]) < value:
+                    pos, value, improved = cand, cand_value, True
+        climbed.append((value, pos))
+    best, best_pos = scan(*(pos for _, pos in climbed))
+    check_invariant(best == min(climbed)[0], "local-search-rescore",
+                    f"re-verification scan gives {best}, search found {min(climbed)[0]}")
+    return DiscReport(n=n, method="local_search", disc_value=best,
+                      n_edges=len(words), restarts=restarts, seed=seed,
+                      **_witness(n, best_pos, words, sizes))

@@ -268,6 +268,13 @@ class TestSweep:
         for a in sweep_alphas(1024, 50, n_random=10, seed=1):
             assert 0 <= a < 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_alpha_sample_below_n4(self, n):
+        # the adversarial denominator isqrt(n) - 1 is 0 here and is skipped
+        alphas = sweep_alphas(n, 4)
+        assert alphas[:4] == [Fraction(t, 4) for t in range(4)]
+        assert all(0 <= a < 1 for a in alphas)
+
     def test_boundary_alphas_straddle_cases(self):
         # a/d +- 1/n sits exactly on the branch-1/branch-3 threshold
         n = 1024

@@ -270,6 +270,17 @@ class TestFailureClasses:
         res = runner.invoke(main, ["verify-lemmas", "--n", n])
         assert res.exit_code == 2 and res.stdout == ""
 
+    @pytest.mark.parametrize("args", [
+        # below n = 4 building the sweep's alphas used to divide by zero
+        ["sweep", "--n", "1"], ["sweep", "--n", "2"], ["sweep", "--n", "3"],
+        ["sweep", "--n", "100", "--grid", "2"],
+        ["certify", "--n", "100", "--alpha", "1/3"],
+    ])
+    def test_below_min_n_refused_before_work(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
     def test_invariant_violation_pickles(self):
         exc = InternalInvariantViolation("magnitude-bound", "measured 0 < bound 4")
         again = pickle.loads(pickle.dumps(exc))

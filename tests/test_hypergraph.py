@@ -18,7 +18,7 @@ from sumdisc.hypergraph import (CapExceeded, Coloring,
                                 max_edge_imbalance, translate_values,
                                 window_vertices)
 from sumdisc.family import FamilyConfig, build_family
-from sumdisc.solver import _max_imbalance, _packed_edges
+from sumdisc.solver import _pack, _packed_edges, _scan
 
 
 def naive_hyperedges(n):
@@ -305,7 +305,7 @@ class TestMaxEdgeImbalance:
     def test_matches_mask_scan(self, n):
         packed, sizes = _packed_edges(n)
         for chi in self.colorings(n):
-            expected, _ = _max_imbalance(packed, sizes, chi.values)
+            expected, _ = _scan(packed, sizes, [_pack(chi.values[None])])
             value, window = max_edge_imbalance(chi)
             assert value == expected
             vertices = window_vertices(window, n)
@@ -321,7 +321,7 @@ class TestMaxEdgeImbalance:
     def test_matches_mask_scan_any_coloring(self, signs):
         n = len(signs)
         chi = Coloring(n, signs)
-        expected, _ = _max_imbalance(*_packed_edges(n), chi.values)
+        expected, _ = _scan(*_packed_edges(n), [_pack(chi.values[None])])
         value, window = max_edge_imbalance(chi)
         assert value == expected == abs(window.value)
 

@@ -195,15 +195,22 @@ class TestUpperBounds:
         assert d["disc"] == rep.disc_value and d["method"] == "random"
 
     @pytest.mark.parametrize("n", [16, 32, 48, 64])
-    def test_sweep_path_matches_mask_path(self, n):
-        # up to the cap the colorings are scored over the edge masks; the
-        # path taken above it scores the same draws by the max-imbalance sweep
+    def test_sweep_path_matches_mask_path(self, n, monkeypatch):
+        # up to the cap the colorings are scored over the edge words; the
+        # row scorer taken above it scores the same draws by the sweep
         masks = random_coloring_upper(n, trials=100, seed=7)
-        sweep = solver._random_upper_sweep(n, 100, 7)
-        assert sweep.disc_value == masks.disc_value
-        assert sweep.witness_coloring == masks.witness_coloring
-        chi = Coloring(n, sweep.witness_coloring)
-        assert abs(sum(chi(z) for z in sweep.witness_edge)) == sweep.disc_value
+        rows = np.random.default_rng(7).choice(
+            np.array([-1, 1], dtype=np.int8), size=(100, n))
+        value, witness = solver._sweep_rows(n, [rows])
+        assert value == masks.disc_value
+        assert witness["witness_coloring"] == masks.witness_coloring
+        chi = Coloring(n, witness["witness_coloring"])
+        assert abs(sum(chi(z) for z in witness["witness_edge"])) == value
+        # with the cap below n, random_coloring_upper takes the row scorer
+        monkeypatch.setattr(solver, "ENUMERATION_CAP", n - 1)
+        sweep = random_coloring_upper(n, trials=100, seed=7)
+        assert (sweep.disc_value, sweep.witness_coloring, sweep.witness_edge) == \
+            (value, witness["witness_coloring"], witness["witness_edge"])
         assert not masks.n_edges_lower_bound
         assert "n_edges_lower_bound" not in masks.to_json_dict()
         assert sweep.n_edges_lower_bound and sweep.n_edges <= masks.n_edges
@@ -212,12 +219,37 @@ class TestUpperBounds:
 
     @pytest.mark.parametrize("call", [
         lambda: random_coloring_upper(8, trials=-3),
-        lambda: solver._random_upper_sweep(8, 0, 0),
+        # above the enumeration cap, where the row scorer would run
+        lambda: random_coloring_upper(65, trials=0),
         lambda: local_search_upper(8, restarts=0),
     ], ids=["random", "sweep", "local"])
     def test_count_below_one_raises(self, call):
         with pytest.raises(ValueError, match="must be >= 1"):
             call()
+
+    @pytest.mark.parametrize("chunk", [2, solver._CHUNK])
+    def test_chunked_draws_match_per_trial_loop(self, chunk, monkeypatch):
+        # the loop the chunked draw and the batched scan replaced: one draw,
+        # one pack and one scan per trial, the first trial at the minimum kept
+        n = 12
+        words, sizes = solver._packed_edges(n)
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            best = None
+            for _ in range(chunk + 3):
+                signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+                bits = np.packbits(signs > 0, bitorder="little").tobytes()
+                pos = np.array([int.from_bytes(bits, "little")], dtype=np.uint64)
+                imb = solver._imbalances(words, sizes, pos)[0]
+                if best is None or imb.max() < best:
+                    best, best_signs, edge = int(imb.max()), signs, int(
+                        words[int(np.argmax(imb))])
+            rep = random_coloring_upper(n, trials=chunk + 3, seed=seed)
+            assert rep.disc_value == best
+            assert rep.witness_coloring == best_signs.tolist()
+            assert rep.witness_edge == tuple(z for z in range(1, n + 1)
+                                             if edge >> (z - 1) & 1)
 
 
 class TestEdgeWords:
@@ -226,18 +258,49 @@ class TestEdgeWords:
         # alone, and every vertex
         words = np.array([1 << 63, 2 ** 64 - 1], dtype=np.uint64)
         sizes = np.array([1, 64], dtype=np.int16)
-        # vertex 64 is the only +1: the full word scores |2 - 64|
-        signs = -np.ones(64, dtype=np.int8)
-        signs[63] = 1
-        assert solver._max_imbalance(words, sizes, signs) == (62, 1)
-        # alternating, vertex 64 is +1: only the top-bit word is unbalanced
-        signs = np.tile(np.array([-1, 1], dtype=np.int8), 32)
-        assert solver._max_imbalance(words, sizes, signs) == (1, 0)
-        assert solver._decode_row(words[0], 64) == (64,)
-        assert solver._decode_row(words[1], 64) == tuple(range(1, 65))
+        # only vertex 64 at +1, and alternating with vertex 64 at +1
+        signs = -np.ones((2, 64), dtype=np.int8)
+        signs[0, 63] = 1
+        signs[1, 1::2] = 1
+        pos = solver._pack(signs)
+        assert pos.tolist() == [1 << 63, int("10" * 32, 2)]
+        # the full word scores |2 - 64|; only the top-bit word is unbalanced
+        assert solver._scan(words, sizes, [pos[:1]]) == (62, 1 << 63)
+        assert solver._scan(words, sizes, [pos[1:]]) == (1, int(pos[1]))
+        assert solver._scan(words, sizes, [pos]) == (1, int(pos[1]))
+        fields = solver._witness(64, int(pos[0]), words, sizes)
+        assert fields["witness_coloring"] == signs[0].tolist()
+        assert fields["witness_edge"] == tuple(range(1, 65))
+        fields = solver._witness(64, int(pos[1]), words, sizes)
+        assert fields["witness_coloring"] == signs[1].tolist()
+        assert fields["witness_edge"] == (64,)
         # two colorings in one call: only vertex 64 at +1, and vertices
         # 1..32 at +1 with vertex 64 at -1
         pos = np.array([1 << 63, 2 ** 32 - 1], dtype=np.uint64)
         imb = solver._imbalances(words, sizes, pos)
         assert imb.dtype == np.int16
         assert imb.tolist() == [[1, 62], [1, 0]]
+
+    def test_pack_short_rows(self):
+        # bit z-1 is vertex z at every n up to a byte boundary and past it
+        for n in (1, 7, 8, 9, 63):
+            signs = np.where(np.arange(n) % 3 == 0, 1, -1).astype(np.int8)
+            word = sum(1 << z for z in range(n) if signs[z] > 0)
+            assert solver._pack(signs[None]).tolist() == [word]
+
+    def test_scan_keeps_first_word_at_minimum(self):
+        # vertices 1..3, edges {1, 2} and {3}: every coloring scores 1 on
+        # {3}, so all four words with {1, 2} balanced tie at the minimum
+        words = np.array([0b011, 0b100], dtype=np.uint64)
+        sizes = np.array([2, 1], dtype=np.int16)
+        ties = np.array([0b110, 0b001, 0b101, 0b010], dtype=np.uint64)
+        assert solver._scan(words, sizes, [ties]) == (1, 0b110)
+        # across batches, and across pieces: 2**16 words make one coloring
+        # per _imbalances call
+        assert solver._scan(words, sizes, [ties[:1], ties[1:]]) == (1, 0b110)
+        many = np.tile(words, 1 << 15), np.tile(sizes, 1 << 15)
+        assert solver._scan(*many, [ties]) == (1, 0b110)
+        assert solver._scan(words, sizes, [np.array([0b011, 0b001, 0b010],
+                                                     dtype=np.uint64)]) == (1, 0b001)
+        fields = solver._witness(3, 0b001, words, sizes)
+        assert fields == {"witness_coloring": [1, -1, -1], "witness_edge": (3,)}
