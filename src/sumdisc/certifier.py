@@ -295,11 +295,5 @@ def sweep_alphas(n: int, grid: int, n_random: int = 0, seed: int = 0,
                             alphas.append(cand)
                 if 0 <= base < 1:
                     alphas.append(base)
-    seen = set()
-    out = []
-    for a in alphas:
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    return out
+    return list(dict.fromkeys(alphas))
 

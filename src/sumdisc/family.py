@@ -87,19 +87,9 @@ def in_m_interval(n: int, delta1: int, k: int, d2: int) -> bool:
     return rest <= 0 or rest * rest < (4 ** (k + 1)) * n
 
 
-@dataclass(frozen=True)
-class MSet:
-    """Second differences congruent to b mod 2^(2k)*delta1 inside the open
-    dyadic interval at scale k."""
-
-    delta1: int
-    b: int
-    k: int
-    members: tuple[int, ...]
-
-
-def build_m_set(n: int, delta1: int, b: int, k: int) -> MSet:
-    """Enumerate the congruence class of b inside the scale-k interval.
+def build_m_set(n: int, delta1: int, b: int, k: int) -> tuple[int, ...]:
+    """The second differences congruent to b mod 2^(2k)*delta1 inside the
+    open dyadic interval at scale k, in increasing order.
 
     Consecutive members differ by exactly 2^(2k)*delta1; the member count
     never exceeds 3 * 2^-k * sqrt(n) / delta1.
@@ -128,7 +118,7 @@ def build_m_set(n: int, delta1: int, b: int, k: int) -> MSet:
             "m-set-size",
             f"M({b},{k}) for delta1={delta1}, n={n} has {count} members, "
             "more than 3*2^-k*sqrt(n)/delta1")
-    return MSet(delta1=delta1, b=b, k=k, members=tuple(members))
+    return tuple(members)
 
 
 @dataclass(eq=False)
@@ -185,7 +175,7 @@ def _e3_edges(n: int) -> list[tuple[SumEdge, Provenance]]:
     for d1 in range(1, math.isqrt(n) + 1):
         for k in range(0, kbar(n, d1) + 1):
             for b in totatives(d1):
-                for d2 in build_m_set(n, d1, b, k).members:
+                for d2 in build_m_set(n, d1, b, k):
                     out.append((e3_edge(n, d1, k, d2),
                                 Provenance(delta1=d1, k=k, b=b)))
     return out

@@ -26,19 +26,24 @@ progression, so the canonical sweep reaches every distinct hyperedge.
 ``max_edge_imbalance`` needs no enumeration and runs at any N: it takes the
 maximum of |chi| over every window of every template with prefix sums
 along the two progression directions, and handles windows whose lattice
-points collide exactly (see the notes above it).
+points collide exactly (see the notes above it).  It makes one pass over
+the cases of the windows; each case gives its window values as one array
+with a locator that turns an index into that array into a window, and the
+witness comes from one call to the locator of the case that set the maximum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numtheory import InternalInvariantViolation, check_invariant
+from .numtheory import check_invariant
 
 ENUMERATION_CAP = 64
 
@@ -251,38 +256,23 @@ def _chain_suffix(a: np.ndarray, d: int, op: np.ufunc) -> np.ndarray:
     return acc.reshape(-1)[:a.size]
 
 
-def _ap_chains(v: np.ndarray, d: int) -> np.ndarray:
-    """Prefix sums of chi along every d-chain of [1, n], one column per
-    chain, with a leading row of zeros."""
+def _ap_case(v: np.ndarray, d: int):
+    """Progressions of difference d: per d-chain of [1, n], the max - min
+    of chi's prefix sums (every start and every length), and the locator
+    of a chain's window."""
     k = -(-v.size // d)
     buf = np.zeros((k + 1) * d, dtype=np.int32)
     buf[d: d + v.size] = v
-    return buf.reshape(k + 1, d).cumsum(axis=0)
+    p = buf.reshape(k + 1, d).cumsum(axis=0)
 
-
-def _ap_value(v: np.ndarray) -> int:
-    """Max |chi| over all progressions: max - min of each chain's prefix
-    sums covers every start and every length."""
-    best = 0
-    for d in range(1, max(2, v.size)):
-        p = _ap_chains(v, d)
-        best = max(best, int((p.max(axis=0) - p.min(axis=0)).max()))
-    return best
-
-
-def _ap_window(v: np.ndarray, target: int) -> tuple[SumEdge, int]:
-    for d in range(1, max(2, v.size)):
-        p = _ap_chains(v, d)
-        spread = p.max(axis=0) - p.min(axis=0)
-        if spread.max() == target:
-            c = int(np.argmax(spread))
-            i, j = sorted((int(np.argmax(p[:, c])), int(np.argmin(p[:, c]))))
-            return SumEdge(d, j - i, 1, 1), 1 + c + i * d
-    raise InternalInvariantViolation("sweep-locate", f"no progression has imbalance {target}")
+    def locate(c: int) -> tuple[SumEdge, int]:
+        i, j = sorted((int(np.argmax(p[:, c])), int(np.argmin(p[:, c]))))
+        return SumEdge(d, j - i, 1, 1), 1 + c + i * d
+    return p.max(axis=0) - p.min(axis=0), locate
 
 
 class _PairSweep:
-    """Max |chi| over every window with differences d2 < d1, from H and G
+    """The cases of the windows with differences d2 < d1, from H and G
     over y in [y0, n + d1] (both are 0 above n)."""
 
     def __init__(self, v: np.ndarray, d1: int, d2: int):
@@ -329,88 +319,65 @@ class _PairSweep:
             upper.append(sliding_window_view(_chain_suffix(tail, d, op), d)[:(hi - lo) * e + 1: e])
         return np.maximum(inner.max(axis=1), upper[0]) - np.minimum(inner.min(axis=1), upper[1])
 
-    def _row_parts(self):
-        """(d, e, lo, hi, k) of the two families of F-rows."""
-        if self.D2 >= 2:
-            yield self.d2, self.d1, 2, self.D2, self.k1
-        if self.lo2 <= self.hi2:
-            yield self.d1, self.d2, self.lo2, self.hi2, self.k2
+    def _row_window(self, d: int, e: int, lo: int, hi: int, k: int, i: int
+                    ) -> tuple[SumEdge, int]:
+        """The window at flat index i of ``_rows(d, e, lo, hi, k)``: the
+        extremes of F along the whole chain, read off H."""
+        r, c = divmod(i, d)
+        length = hi - r
+        y = np.arange(self.n + 1 - k * d + c - length * e, self.n + d + 1, d)
+        j = y - self.y0 + length * e
+        F = self.H[y - self.y0] - np.append(self.H, 0)[np.minimum(j, self.H.size)]
+        p, q = sorted((int(np.argmax(F)), int(np.argmin(F))))
+        return SumEdge(e, length, d, q - p), int(y[p])
 
-    def _classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per residue class mod g (columns, in the order of y0, y0+1, ...):
-        the class total T and the min and max of G over the class."""
-        G, g = self.G, self.g
+    def cases(self):
+        """Each case's window values, with a locator that turns an index
+        into them into a window (template, offset), lengths <= n."""
+        n, d1, d2, g, L, y0, G = self.n, self.d1, self.d2, self.g, self.L, self.y0, self.G
+        rows = ((d2, d1, 2, self.D2, self.k1), (d1, d2, self.lo2, self.hi2, self.k2))
+        for d, e, lo, hi, k in rows:
+            if lo <= hi:
+                yield self._rows(d, e, lo, hi, k), partial(self._row_window, d, e, lo, hi, k)
+        # staircase windows, l1 >= D2 and l2 >= D1, located on the full
+        # template, whose windows with l1 = D2 + j, l2 = D1 + k reach
+        # a + L + j*d1 + k*d2.  An offset a <= 1 - cond sees its whole class
+        # (G(a) = T) and reaches any partner b <= n + 1; an offset a > n - L
+        # has every partner above n; the rest pair with the extremes of G
+        # over a + L + K.
+        full = SumEdge(d1, n, d2, n)
+        reach = L + (n - self.D2) * d1 + (n - self.D1) * d2
+        # per residue class mod g (columns, in the order of y0, y0 + 1, ...);
         # the dropped tail lies above n + g, and every class keeps a 0 above n
         cols = G[:G.size // g * g].reshape(-1, g)
-        return G[:g], cols.min(axis=0), cols.max(axis=0)
+        total, cmin, cmax = G[:g], cols.min(axis=0), cols.max(axis=0)
 
-    def _cone_extremes(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """For y in [ylo, n]: G(y - L) and the min and max of G over
-        y + K (0 included, for the part of y + K above n)."""
-        ylo = self.d1 + self.d2 - self.g + 2
-        seg = self.G[ylo - self.y0:]
-        m = self.n - ylo + 1
-        lo = _chain_suffix(_chain_suffix(seg, self.d1, np.minimum), self.d2, np.minimum)
-        hi = _chain_suffix(_chain_suffix(seg, self.d1, np.maximum), self.d2, np.maximum)
-        base = self.G[ylo - self.L - self.y0: ylo - self.L - self.y0 + m]
-        return ylo, base, lo[:m], hi[:m]
+        def class_window(c: int) -> tuple[SumEdge, int]:
+            below = total[c] - cmin[c] >= cmax[c] - total[c]
+            at = np.argmin(cols[:, c]) if below else np.argmax(cols[:, c])
+            return full, y0 + c + g * int(at) - reach
+        yield np.maximum(total - cmin, cmax - total), class_window
+        start = max(0, n + 1 - y0 - L)  # the offsets in [n + 1 - L, n]
+        yield np.abs(G[start: n + 1 - y0]), lambda i: (full, y0 + start + i)
+        # for y in [ylo, n]: G(y - L) against the min and max of G over
+        # y + K (0 included, for the part of y + K above n)
+        ylo = d1 + d2 - g + 2
+        if ylo <= n:
+            seg = G[ylo - y0:]
+            m = n - ylo + 1
+            lo = _chain_suffix(_chain_suffix(seg, d1, np.minimum), d2, np.minimum)[:m]
+            hi = _chain_suffix(_chain_suffix(seg, d1, np.maximum), d2, np.maximum)[:m]
+            base = G[ylo - L - y0: ylo - L - y0 + m]
 
-    def value(self) -> int:
-        best = 0
-        for part in self._row_parts():
-            best = max(best, int(self._rows(*part).max()))
-        # staircase windows, l1 >= D2 and l2 >= D1.  An offset a <= 1 - cond
-        # sees its whole class (G(a) = T) and reaches any partner b <= n + 1;
-        # an offset a > n - L has every partner above n; the rest pair with
-        # the extremes of G over a + L + K.
-        total, cmin, cmax = self._classes()
-        best = max(best, int(np.maximum(total - cmin, cmax - total).max()))
-        top = self.n + 1 - self.y0
-        best = max(best, int(np.abs(self.G[max(0, top - self.L): top]).max()))
-        if self.d1 + self.d2 - self.g + 2 <= self.n:
-            _, base, lo, hi = self._cone_extremes()
-            best = max(best, int(np.maximum(base - lo, hi - base).max()))
-        return best
-
-    def window(self, target: int) -> tuple[SumEdge, int]:
-        """A window (template, offset) of value +-target, lengths <= n."""
-        n, d1, d2, y0 = self.n, self.d1, self.d2, self.y0
-        for d, e, lo, hi, k in self._row_parts():
-            spread = self._rows(d, e, lo, hi, k)
-            if spread.max() == target:
-                r, c = np.unravel_index(int(np.argmax(spread)), spread.shape)
-                length = hi - int(r)
-                # the whole chain of column c in that row, read off H
-                y = np.arange(n + 1 - k * d + int(c) - length * e, n + d + 1, d)
-                i = y - y0
-                j = i + length * e
-                F = self.H[i] - np.where(j < self.H.size, self.H[np.minimum(j, self.H.size - 1)], 0)
-                p, q = sorted((int(np.argmax(F)), int(np.argmin(F))))
-                return SumEdge(e, length, d, q - p), int(y[p])
-        # staircase windows with l1 = D2 + j, l2 = D1 + k reach a + L + j*d1 + k*d2
-        reach = self.L + (n - self.D2) * d1 + (n - self.D1) * d2
-        full = SumEdge(d1, n, d2, n)
-        total = self.G[:self.g]
-        for c in range(self.g):
-            cls = self.G[c::self.g]
-            for extreme, at in ((total[c] - cls.min(), np.argmin(cls)),
-                                (cls.max() - total[c], np.argmax(cls))):
-                if extreme == target:
-                    return full, y0 + c + self.g * int(at) - reach
-        top = n + 1 - y0
-        start = max(0, top - self.L)
-        hit = np.flatnonzero(np.abs(self.G[start: top]) == target)
-        if hit.size:
-            return full, y0 + start + int(hit[0])
-        ylo, base, lo, hi = self._cone_extremes()
-        y = ylo + int(np.argmax(np.maximum(base - lo, hi - base)))
-        a = y - self.L
-        j = np.arange(n - self.D2 + 1)[:, None]
-        kk = np.arange(n - self.D1 + 1)[None, :]
-        b = y + j * d1 + kk * d2
-        gb = np.where(b <= n, self.G[np.minimum(b, n) - y0], 0)
-        jj, kj = np.unravel_index(int(np.argmax(np.abs(self.G[a - y0] - gb) == target)), gb.shape)
-        return SumEdge(d1, self.D2 + int(jj), d2, self.D1 + int(kj)), a
+            def cone_window(i: int) -> tuple[SumEdge, int]:
+                y = ylo + i
+                j = np.arange(n - self.D2 + 1)[:, None]
+                kk = np.arange(n - self.D1 + 1)[None, :]
+                b = y + j * d1 + kk * d2
+                gb = np.where(b <= n, G[np.minimum(b, n) - y0], 0)
+                jj, kj = np.unravel_index(int(np.argmax(np.abs(G[y - L - y0] - gb))), gb.shape)
+                return SumEdge(d1, self.D2 + int(jj), d2, self.D1 + int(kj)), y - L
+            yield np.maximum(base - lo, hi - base), cone_window
 
 
 def _trim(e: SumEdge, offset: int, n: int) -> tuple[SumEdge, int]:
@@ -428,8 +395,8 @@ def _trim(e: SumEdge, offset: int, n: int) -> tuple[SumEdge, int]:
 def max_edge_imbalance(chi: Coloring, stop_at: int | None = None
                        ) -> tuple[int, TranslatedEdgeValue | None]:
     """Max of |chi(a + E)| over every hyperedge of [1, n], with a window
-    attaining it, in O(n**4) array operations and O(n**2) memory (about 9 s
-    per coloring at n=256 on one core of a 2-core x86 host).
+    attaining it, in O(n**4) array operations and O(n**2) memory (30.5 s
+    for one random coloring at n=256 on a 2-vCPU Intel Xeon host, numpy 2.4).
 
     Differences and lengths range over [1, n] and offsets over all
     integers, as in the definition; no set is built or deduplicated.  With
@@ -438,21 +405,19 @@ def max_edge_imbalance(chi: Coloring, stop_at: int | None = None
     """
     n = chi.n
     v = chi.values.astype(np.int32)
-    best, where = _ap_value(v), None
-    if stop_at is not None and best >= stop_at:
-        return best, None
-    for d1 in range(2, n):
-        for d2 in range(1, d1):
-            value = _PairSweep(v, d1, d2).value()
-            if value > best:
-                best, where = value, (d1, d2)
-                if stop_at is not None and best >= stop_at:
-                    return best, None
-    if where is None:
-        edge, offset = _ap_window(v, best)
-    else:
-        edge, offset = _PairSweep(v, *where).window(best)
-    edge, offset = _trim(edge, offset, n)
+    cases = itertools.chain(
+        (_ap_case(v, d) for d in range(1, max(2, n))),
+        itertools.chain.from_iterable(_PairSweep(v, d1, d2).cases()
+                                      for d1 in range(2, n) for d2 in range(1, d1)))
+    best = 0
+    for scores, locate in cases:
+        value = int(scores.max())
+        if value > best:
+            best, kept = value, (scores, locate)
+            if stop_at is not None and best >= stop_at:
+                return best, None
+    scores, locate = kept
+    edge, offset = _trim(*locate(int(np.argmax(scores))), n)
     witness = TranslatedEdgeValue(edge=edge, offset=offset,
                                   value=color_value(chi, edge, offset))
     check_invariant(max(edge.d1, edge.l1, edge.d2, edge.l2) <= n

@@ -175,6 +175,11 @@ irfft = np.fft.irfft
 np.fft.irfft = lambda *a, **k: irfft(*a, **k) + 0.3
 translate_values(Coloring.random(100, seed=0), SumEdge(1, 3, 5, 2))
 """,
+    "hypergraph sweep-witness-rescore": """
+from sumdisc import hypergraph
+hypergraph._trim = lambda e, offset, n: (hypergraph.SumEdge(1, 1, 1, 1), 1)
+hypergraph.max_edge_imbalance(hypergraph.Coloring.random(20, seed=5))
+""",
     "family count-e3": """
 from sumdisc import family
 e3_edges = family._e3_edges

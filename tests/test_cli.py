@@ -10,8 +10,8 @@ from click.testing import CliRunner
 
 from sumdisc import certifier, cli, hypergraph
 from sumdisc.cli import main
-from sumdisc.hypergraph import (InternalInvariantViolation, SumEdge,
-                                count_progressions)
+from sumdisc.hypergraph import SumEdge, count_progressions
+from sumdisc.numtheory import InternalInvariantViolation
 
 
 @pytest.fixture

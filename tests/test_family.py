@@ -3,7 +3,7 @@ import math
 import pytest
 
 from sumdisc import family
-from sumdisc.family import (BadK, FamilyConfig, MSet, build_family,
+from sumdisc.family import (BadK, FamilyConfig, build_family,
                             build_m_set, family_stats, in_m_interval, kbar,
                             length1_at_scale, length2_at_scale)
 from sumdisc.hypergraph import SumEdge, edge_cardinality
@@ -13,13 +13,11 @@ from sumdisc.numtheory import InternalInvariantViolation, totatives
 class TestMSet:
     def test_full_interval_at_unit_difference(self):
         # d1=1, k=0, n=100: all integers in the open interval (10, 21)
-        ms = build_m_set(100, 1, 1, 0)
-        assert ms.members == tuple(range(11, 21))
+        assert build_m_set(100, 1, 1, 0) == tuple(range(11, 21))
 
     def test_congruence_class(self):
         # d1=10, k=0, n=100: integers = 1 mod 10 in (10, 30)
-        ms = build_m_set(100, 10, 1, 0)
-        assert ms.members == (11, 21)
+        assert build_m_set(100, 10, 1, 0) == (11, 21)
 
     def test_members_match_interval_scan(self):
         # oracle: scan every integer and test congruence + open interval
@@ -28,7 +26,7 @@ class TestMSet:
                 for k in range(kbar(n, d1) + 1):
                     step = (4 ** k) * d1
                     for b in totatives(d1):
-                        got = build_m_set(n, d1, b, k).members
+                        got = build_m_set(n, d1, b, k)
                         lo = (2 ** k) * math.sqrt(n)
                         hi = (2 ** (k + 1)) * math.sqrt(n) + step
                         expected = tuple(
@@ -54,7 +52,7 @@ class TestMSet:
                     assert ((1 << k) * d1) ** 2 <= n  # step <= 2^k sqrt(n)
                     union_count = 0
                     for b in totatives(d1):
-                        members = build_m_set(n, d1, b, k).members
+                        members = build_m_set(n, d1, b, k)
                         union_count += len(members)
                         for u, v in zip(members, members[1:]):
                             assert v - u == step

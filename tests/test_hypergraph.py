@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from sumdisc import hypergraph
 from sumdisc.certifier import certify
-from sumdisc.hypergraph import (CapExceeded, Coloring,
-                                InternalInvariantViolation, SumEdge,
+from sumdisc.hypergraph import (CapExceeded, Coloring, SumEdge,
                                 canonical_edge_masks, color_value,
                                 count_progressions, edge_cardinality,
                                 edge_elements_array, exact_correlation,
@@ -19,6 +18,7 @@ from sumdisc.hypergraph import (CapExceeded, Coloring,
                                 window_vertices)
 from sumdisc.family import FamilyConfig, build_family
 from sumdisc.solver import _pack, _packed_edges, _scan
+from sumdisc.numtheory import InternalInvariantViolation
 
 
 def naive_hyperedges(n):
@@ -293,6 +293,38 @@ class TestProgressionCount:
 class TestMaxEdgeImbalance:
     """The sweep against the packed-mask scan over all distinct edges."""
 
+    # SHA-256 of repr() of the five (value, d1, l1, d2, l2, offset)
+    # witnesses per n: a change to which window the sweep reports shows here
+    WITNESS_SHA256 = {
+        1: "9d8a286c7c67d8ae2c30d76ee3ce30aa811c9481675b9331feaff15ba4d33b3c",
+        2: "c3c9218c606f671f5cb26ac45863e483d17b832d7232f54a48e7a44709417d18",
+        3: "bafe30de89c0ad977387bde144a1ad7e72e3380a5fe4282ad4bb2e4336338c56",
+        4: "912c07d9da1239b82ebf5dac25f0c780615be1b585aac5042f2276fe0ed0850c",
+        5: "40814daa3d16f4ac219b2aba243e4dfaa1a422bf14a1983e30c3310edae1362e",
+        6: "936fc5081c24c6aacd66181465069cdf63a2696d2a1b6074d22c20561e88acb9",
+        7: "fb4c53b5b28670e417684e3177a5e6956b44aecd26cb39527294e658ee567562",
+        8: "da64948222d4917f255901577c62db5c70c58474f2e80dc2771f7dc43623ec03",
+        9: "c5672c544ea41441967cc3b839966996bb3273c342524485160d396b7e2ce49b",
+        10: "8005d92665aa9270e84234a6c36aaead3babae2f0606ad04d526c2c455359deb",
+        11: "a1de05ba1424902e4e7c0ba5ba1211d039d144921ad9af31f12846434e93510d",
+        12: "da33f0939749752a803f0c68988995ec06317339b8a7809eb8b04f81d066b188",
+        13: "b0cabb55d40f660541ea832a47e2ab773be280705e6461f79d3e7cfc618129d1",
+        14: "f70490618b30fd3f293c8ce4e9dde6498d5e1d3439afd0cde0433d3ff0d6078e",
+        15: "643656b98bc92c0fe9aede2e044ad0cf2ef7785996104f917c169fa1a069b612",
+        16: "fc89e20f56ff0dea33f65b826081acc1c5a09f5c8ec4508f16f106945cc2a474",
+        17: "e440ab4ad2bb32e0932dfd2bb68f2e1fed2d0ef68e27811d6cacc132041e620d",
+        18: "d231d51b2dbb596155b09e62fe1d95d89a74bb1896c4b66e49cf683b88c2fdd0",
+        19: "d632bdb3946696afc74b960ac9efbb23777f09a1a14fe7f5f60fb910867209f6",
+        20: "5790b188f88b241142daf426fe950808eb934109c3b113040f086fa6c1cacc9b",
+        21: "6383174295386a59d23299bd67f9eb4d5aa286ee186e25ec3cdc80ee3a35f0df",
+        22: "c45af8242efaf7cad3e39986b405c05ed0a2efd11972a061ba559cf51eb65692",
+        23: "a1c56bdedde1ea0e71885126301b483eed6fc1fd80fde4dfdd45db892d3421e1",
+        24: "291e3bbab602be485b74931f78066dfe3638c2788e38ac860c859cbf72cd4814",
+        32: "491205a224004553a8357784f12385ed397547c1637d8000cba1e182b02a4a87",
+        48: "bb8489cd4c90c5c7f8c970b7c04c350b2e539ea7055a86516dd8bed6e4542602",
+        64: "c52d0f6b0a4776c4137ba65aab006f1cfed3e6f5ce201057b50793e82b3a2a41",
+    }
+
     @staticmethod
     def colorings(n):
         rng = np.random.default_rng(1000 + n)
@@ -304,6 +336,7 @@ class TestMaxEdgeImbalance:
     @pytest.mark.parametrize("n", list(range(1, 25)) + [32, 48, 64])
     def test_matches_mask_scan(self, n):
         packed, sizes = _packed_edges(n)
+        witnesses = []
         for chi in self.colorings(n):
             expected, _ = _scan(packed, sizes, [_pack(chi.values[None])])
             value, window = max_edge_imbalance(chi)
@@ -314,6 +347,9 @@ class TestMaxEdgeImbalance:
             e = window.edge
             assert 1 <= min(e.d1, e.l1, e.d2, e.l2)
             assert max(e.d1, e.l1, e.d2, e.l2) <= n
+            witnesses.append((value, e.d1, e.l1, e.d2, e.l2, window.offset))
+        digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
+        assert digest == self.WITNESS_SHA256[n]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 24).flatmap(
