@@ -5,21 +5,29 @@ The averaging bound evaluates
 ``S = sum over family edges E, offsets a of chi(a + E)**2`` exactly.  For
 each edge, S_E collapses to a dot product between the autocorrelation of
 the coloring and the difference profile of the edge (how often each gap u
-occurs between two edge elements), so a whole-family evaluation is one
-autocorrelation, one dot product (the total) and one ``reduceat`` (the
-per-edge sums) per coloring once the profiles are built.  The
+occurs between two edge elements).  ``TwoNormEngine`` builds every edge's
+profile once, as a lag list: consecutive collision-free edges of equal
+lengths are built together in numpy batches of about 2**18 lag-grid
+cells, one key sort and one ``reduceat`` per batch, and only the edges
+whose lattice points collide are enumerated one at a time.  A
+whole-family evaluation is then one autocorrelation, one dot product (the
+total) and the per-edge sums, taken over blocks of whole edges of about
+2**17 lags (one gather, one in-place multiply and one ``reduceat`` per
+block) so a call holds one block, not every lag, in memory.  The
 autocorrelation and the witness edge's translate values are correlations
 computed as float FFTs and rounded to integers
 (``hypergraph.exact_correlation``), which checks that every rounding
 residue is below 0.25; the sums over them are int64.
 S >= n**3 / 90000 holds for every coloring, and the offset maximizer
 always exceeds sqrt(n)/1200 in absolute color value; both facts are
-checked on every call.
+checked on every call.  The build checks that each edge's lag list counts
+every ordered pair of its elements once (``profile-mass``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -40,6 +48,10 @@ from .numtheory import check_invariant
 log = logging.getLogger(__name__)
 
 EXACT_CAP = 24
+# grid cells per numpy batch of the lag-list build, and lags per block of
+# the per-edge sums in ``TwoNormEngine.evaluate``
+_CELL_BATCH = 1 << 18
+_LAG_BLOCK = 1 << 17
 
 
 class FamilyMismatch(ValueError):
@@ -103,46 +115,133 @@ class TwoNormBound:
 
 def _edge_difference_profile(e: SumEdge) -> np.ndarray:
     """Occurrence counts of each nonnegative gap u between ordered element
-    pairs (x, x+u) of the edge, dense over [0, span]."""
-    if e.collision_free:
-        j1 = np.arange(-(e.l1 - 1), e.l1, dtype=np.int64)
-        j2 = np.arange(-(e.l2 - 1), e.l2, dtype=np.int64)
-        w = np.outer(e.l1 - np.abs(j1), e.l2 - np.abs(j2)).ravel()
-        u = np.add.outer(j1 * e.d1, j2 * e.d2).ravel()
-        keep = u >= 0
-        return np.bincount(u[keep], weights=w[keep],
-                           minlength=e.span + 1).astype(np.int64)
+    pairs (x, x+u) of the edge, dense over [0, span], from its distinct
+    elements: the profile of an edge whose lattice points collide."""
     els = edge_elements_array(e)
     diffs = (els[None, :] - els[:, None]).ravel()
     keep = diffs >= 0
     return np.bincount(diffs[keep], minlength=e.span + 1).astype(np.int64)
 
 
+def _half_grid_cells(l1: int, l2: int) -> int:
+    """Cell count of the half lag grid of an l1 x l2 edge, a bound on its
+    distinct nonnegative lags whether or not its lattice points collide."""
+    return l1 + (l2 - 1) * (2 * l1 - 1)
+
+
+def _half_grid(l1: int, l2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells (j1, j2) of the half lag grid H = {j2 > 0} u {j2 = 0,
+    j1 >= 0} of an l1 x l2 edge, origin first, and their weights
+    ``2(l1-|j1|)(l2-j2)``, except ``l1*l2`` at the origin: each cell off
+    the origin stands for itself and its mirror (-j1, -j2)."""
+    j1 = np.arange(-(l1 - 1), l1, dtype=np.int64)
+    j1 = np.concatenate([j1[l1 - 1:], np.tile(j1, l2 - 1)])
+    j2 = np.repeat(np.arange(l2, dtype=np.int64), [l1] + [2 * l1 - 1] * (l2 - 1))
+    w = 2 * (l1 - np.abs(j1)) * (l2 - j2)
+    w[0] = l1 * l2
+    return j1, j2, w
+
+
+def _grid_lag_lists(d1: np.ndarray, d2: np.ndarray, l1: int,
+                    l2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lag lists of the collision-free edges (d1[i], l1, d2[i], l2): the
+    sorted distinct lags ``|j1*d1 + j2*d2|`` over the half grid, their
+    summed cell weights, and the lag count of each edge.
+
+    No lattice point of a collision-free edge repeats, so only the origin
+    has lag 0; each row sorts one key ``(lag << bits) | cell`` and merges
+    equal lags by ``reduceat``, which gives the nonzero entries of the
+    edge's doubled difference profile in increasing lag order."""
+    j1, j2, w = _half_grid(l1, l2)
+    cells = w.size
+    bits = (cells - 1).bit_length()
+    keys = np.outer(d1, j1)
+    keys += np.outer(d2, j2)
+    np.abs(keys, out=keys)
+    keys <<= bits
+    keys |= np.arange(cells)
+    keys.sort(axis=1)
+    keys = keys.ravel()
+    lags = keys >> bits
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(lags[1:], lags[:-1], out=first[1:])
+    first[::cells] = True
+    starts = np.flatnonzero(first)
+    weights = np.add.reduceat(w[keys & ((1 << bits) - 1)], starts)
+    return lags[starts], weights, first.reshape(-1, cells).sum(axis=1)
+
+
+def _lag_lists(edges: list[SumEdge]) -> Iterator[tuple[np.ndarray, ...]]:
+    """The engine's lag lists, in edge order, as (lags, weights, lag count
+    per edge) pieces.  Consecutive collision-free edges of equal lengths
+    share one half grid and are built ``_grid_lag_lists`` rows of about
+    ``_CELL_BATCH`` cells at a time; a colliding edge is its own piece, the
+    nonzero entries of its doubled ``_edge_difference_profile``."""
+    for (l1, l2, free), run in itertools.groupby(
+            edges, key=lambda e: (e.l1, e.l2, e.collision_free)):
+        if not free:
+            for e in run:
+                prof = _edge_difference_profile(e)
+                prof[1:] *= 2
+                lags = np.flatnonzero(prof)
+                yield lags, prof[lags], np.array([lags.size])
+            continue
+        d = np.array([(e.d1, e.d2) for e in run], dtype=np.int64)
+        rows = max(1, _CELL_BATCH // _half_grid_cells(l1, l2))
+        for lo in range(0, len(d), rows):
+            yield _grid_lag_lists(d[lo:lo + rows, 0], d[lo:lo + rows, 1], l1, l2)
+
+
 class TwoNormEngine:
-    """Precomputed difference profiles for one family, reusable across
-    many colorings."""
+    """Lag lists of one family, reusable across many colorings.
+
+    Edge i owns ``lags[seg_starts[i]:seg_starts[i+1]]``, its distinct
+    nonnegative gaps between elements, and the same slice of ``weights``,
+    how many ordered element pairs are that far apart in either direction,
+    so ``S_E = sum of weights * A[lags]`` for the autocorrelation A;
+    ``fam_profile`` is the weights summed per lag over the family.  The
+    lists are built in numpy batches (``_lag_lists``) straight into one
+    allocation each, sized by the half-grid cell counts (pages past the
+    last lag are never written).  ``evaluate`` sums them in blocks of
+    whole edges of about ``_LAG_BLOCK`` lags, fixed here, so a call
+    allocates one block's buffer, not two arrays of every lag."""
 
     def __init__(self, family: FamilyE0):
         self.n = family.n
         self.edges = list(family.all_edges())
         self.n_edges = len(self.edges)
-        fam_profile = np.zeros(self.n, dtype=np.int64)
-        lag_parts, weight_parts, seg_lengths = [], [], []
-        for e in self.edges:
-            prof = _edge_difference_profile(e)
-            # double positive lags so S_E is a single dot with lags >= 0
-            prof2 = prof * 2
-            prof2[0] = prof[0]
-            fam_profile[: prof2.size] += prof2
-            lags = np.nonzero(prof2)[0]
-            lag_parts.append(lags)
-            weight_parts.append(prof2[lags])
-            seg_lengths.append(lags.size)
-        self.fam_profile = fam_profile
-        self.lags = np.concatenate(lag_parts)
-        self.weights = np.concatenate(weight_parts)
-        self.seg_starts = np.concatenate(
-            [[0], np.cumsum(seg_lengths[:-1])]).astype(np.int64)
+        cap = sum(_half_grid_cells(e.l1, e.l2) for e in self.edges)
+        lags, weights = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
+        self.fam_profile = np.zeros(self.n, dtype=np.int64)
+        used, count_parts = 0, []
+        for part_lags, part_weights, counts in _lag_lists(self.edges):
+            np.add.at(self.fam_profile, part_lags, part_weights)
+            lags[used:used + part_lags.size] = part_lags
+            weights[used:used + part_lags.size] = part_weights
+            used += part_lags.size
+            count_parts.append(counts)
+        self.lags, self.weights = lags[:used], weights[:used]
+        counts = np.concatenate(count_parts)
+        self.seg_starts = np.concatenate([[0], np.cumsum(counts[:-1])]).astype(np.int64)
+        # the lag-0 weight of an edge is |E|, and its weights count each
+        # ordered pair of its elements once
+        sizes = self.weights[self.seg_starts]
+        pairs, mass = int(np.dot(sizes, sizes)), int(self.weights.sum())
+        profile_mass = int(self.fam_profile.sum())
+        check_invariant(bool(np.all(self.lags[self.seg_starts] == 0))
+                        and profile_mass == mass == pairs, "profile-mass",
+                        f"weights sum to {mass} and the profile to {profile_mass}, "
+                        f"not the {pairs} ordered element pairs at n={self.n}")
+        # a block of edges starts at each edge that holds a multiple of
+        # _LAG_BLOCK; edge i's lags end at ends[i + 1]
+        ends = np.append(self.seg_starts, used).tolist()
+        firsts = np.unique(np.searchsorted(
+            self.seg_starts, np.arange(0, used, _LAG_BLOCK), side="right") - 1).tolist()
+        self._blocks = [(e_lo, e_hi, ends[e_lo], ends[e_hi],
+                         self.seg_starts[e_lo:e_hi] - ends[e_lo])
+                        for e_lo, e_hi in zip(firsts, [*firsts[1:], self.n_edges])]
+        self._block_len = max(hi - lo for _, _, lo, hi, _ in self._blocks)
 
     def evaluate(self, chi: Coloring) -> TwoNormBound:
         if chi.n != self.n:
@@ -153,8 +252,16 @@ class TwoNormEngine:
         total = int(np.dot(self.fam_profile, autocorr))
         check_invariant(90000 * total >= self.n ** 3, "two-norm-bound",
                         f"squared-imbalance total {total} < n^3/90000 at n={self.n}")
-        per_edge = np.add.reduceat(self.weights * autocorr[self.lags],
-                                   self.seg_starts)
+        per_edge = np.empty(self.n_edges, dtype=np.int64)
+        buf = np.empty(self._block_len, dtype=np.int64)
+        for e_lo, e_hi, lo, hi, starts in self._blocks:
+            block = buf[:hi - lo]
+            # every lag is below n (the build's np.add.at raises otherwise),
+            # so clipping moves no index; mode="raise" would copy through
+            # a second buffer
+            np.take(autocorr, self.lags[lo:hi], out=block, mode="clip")
+            block *= self.weights[lo:hi]
+            np.add.reduceat(block, starts, out=per_edge[e_lo:e_hi])
         best_edge = self.edges[int(np.argmax(per_edge))]
         values = translate_values(chi, best_edge)
         idx = int(np.argmax(np.abs(values)))

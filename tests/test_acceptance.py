@@ -168,6 +168,18 @@ engine = TwoNormEngine(build_family(FamilyConfig(n=100)))
 engine.fam_profile[:] = 0
 engine.evaluate(Coloring.random(100, seed=0))
 """,
+    "solver profile-mass": """
+from sumdisc import solver
+from sumdisc.family import FamilyConfig, build_family
+profile = solver._edge_difference_profile
+def one_more_pair(e):
+    prof = profile(e)
+    prof[1] += 1
+    return prof
+solver._edge_difference_profile = one_more_pair
+# n=1024 has colliding edges, the ones whose profile this counts
+solver.TwoNormEngine(build_family(FamilyConfig(n=1024)))
+""",
     "hypergraph fft-rounding": """
 import numpy as np
 from sumdisc.hypergraph import Coloring, SumEdge, translate_values

@@ -8,7 +8,8 @@ import pytest
 from sumdisc import solver
 from sumdisc.family import FamilyConfig, build_family
 from sumdisc.fourier import quadrature_sum_sq, sum_sq_disc
-from sumdisc.hypergraph import CapExceeded, Coloring, color_value
+from sumdisc.hypergraph import (CapExceeded, Coloring, color_value,
+                                edge_elements_array)
 from sumdisc.numtheory import InternalInvariantViolation
 from sumdisc.solver import (DiscReport, FamilyMismatch, TwoNormEngine,
                             exact_discrepancy, local_search_upper,
@@ -83,6 +84,94 @@ class TestTwoNorm:
         for seed in range(5):
             bound = engine.evaluate(Coloring.random(n, seed=seed))
             assert bound.witness_value ** 2 * 2 * n * bound.n_edges >= bound.total
+
+
+def _loop_lag_lists(fam):
+    """The per-edge loop the batched build replaced: one dense profile per
+    edge (from the lag grid if collision-free, else from its elements),
+    doubled off lag 0, and its nonzero entries."""
+    fam_profile = np.zeros(fam.n, dtype=np.int64)
+    lag_parts, weight_parts, seg_lengths = [], [], []
+    for e in fam.all_edges():
+        if e.collision_free:
+            j1 = np.arange(-(e.l1 - 1), e.l1, dtype=np.int64)
+            j2 = np.arange(-(e.l2 - 1), e.l2, dtype=np.int64)
+            w = np.outer(e.l1 - np.abs(j1), e.l2 - np.abs(j2)).ravel()
+            u = np.add.outer(j1 * e.d1, j2 * e.d2).ravel()
+            keep = u >= 0
+            prof = np.bincount(u[keep], weights=w[keep],
+                               minlength=e.span + 1).astype(np.int64)
+        else:
+            els = edge_elements_array(e)
+            diffs = (els[None, :] - els[:, None]).ravel()
+            prof = np.bincount(diffs[diffs >= 0],
+                               minlength=e.span + 1).astype(np.int64)
+        prof2 = prof * 2
+        prof2[0] = prof[0]
+        fam_profile[: prof2.size] += prof2
+        lags = np.nonzero(prof2)[0]
+        lag_parts.append(lags)
+        weight_parts.append(prof2[lags])
+        seg_lengths.append(lags.size)
+    seg_starts = np.concatenate([[0], np.cumsum(seg_lengths[:-1])]).astype(np.int64)
+    return (np.concatenate(lag_parts), np.concatenate(weight_parts), seg_starts,
+            fam_profile)
+
+
+def _engine_arrays(engine):
+    return engine.lags, engine.weights, engine.seg_starts, engine.fam_profile
+
+
+class TestLagLists:
+    # SHA-256 of the bytes of lags, weights, seg_starts and fam_profile at
+    # n=16384, recorded from the per-edge loop
+    SHA256_16384 = "3b77ca3b0dee5b3e1b14b7346774510a5213c3327c7074185ee4dfb5e991a743"
+
+    def _assert_matches_loop(self, n):
+        fam = build_family(FamilyConfig(n=n))
+        for got, want in zip(_engine_arrays(TwoNormEngine(fam)), _loop_lag_lists(fam)):
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    def test_matches_loop_small_n(self):
+        for n in range(1, 130):
+            self._assert_matches_loop(n)
+
+    @pytest.mark.parametrize("n", [700, 1000, 2048, 4096])
+    def test_matches_loop(self, n):
+        self._assert_matches_loop(n)
+
+    def test_frozen_bytes_16384(self):
+        engine = TwoNormEngine(build_family(FamilyConfig(n=16384)))
+        digest = hashlib.sha256()
+        for arr in _engine_arrays(engine):
+            assert arr.dtype == np.int64
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == self.SHA256_16384
+
+    @pytest.mark.parametrize("n", [576, 1024])
+    def test_block_bounds(self, n, monkeypatch):
+        fam = build_family(FamilyConfig(n=n))
+        default = TwoNormEngine(fam)
+        colorings = [Coloring.alternating(n), Coloring.block(n)]
+        colorings += [Coloring.random(n, seed=s) for s in range(3)]
+        want = [default.evaluate(chi) for chi in colorings]
+        longest = int(np.diff(np.append(default.seg_starts, default.lags.size)).max())
+        for block in (1, 7, longest // 2):
+            monkeypatch.setattr(solver, "_LAG_BLOCK", block)
+            engine = TwoNormEngine(fam)
+            if block == 1:
+                # a block boundary on every edge
+                assert len(engine._blocks) == engine.n_edges
+            if block == longest // 2:
+                # an edge larger than a block
+                assert max(hi - lo for _, _, lo, hi, _ in engine._blocks) >= longest
+            for chi, bound in zip(colorings, want):
+                got = engine.evaluate(chi)
+                assert (got.total, got.witness_edge, got.witness_offset,
+                        got.witness_value) == (bound.total, bound.witness_edge,
+                                               bound.witness_offset,
+                                               bound.witness_value)
 
 
 class TestExact:
