@@ -22,6 +22,11 @@ S >= n**3 / 90000 holds for every coloring, and the offset maximizer
 always exceeds sqrt(n)/1200 in absolute color value; both facts are
 checked on every call.  The build checks that each edge's lag list counts
 every ordered pair of its elements once (``profile-mass``).
+
+The searches at small N score colorings as uint64 words of their +1
+vertices against the canonical edge words: random and local search by
+``_scan``, the exact search by a branch-and-bound over prefixes whose
+witness is re-scored over every edge (``exact-rescore``).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .numtheory import check_invariant
 
 log = logging.getLogger(__name__)
 
-EXACT_CAP = 24
+EXACT_CAP = 28
 # grid cells per numpy batch of the lag-list build, and lags per block of
 # the per-edge sums in ``TwoNormEngine.evaluate``
 _CELL_BATCH = 1 << 18
@@ -348,18 +353,65 @@ def _require_positive(name: str, count: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {count}")
 
 
+def _children(parents: np.ndarray, words: np.ndarray, sizes: np.ndarray,
+              bound: int, bit: int) -> np.ndarray:
+    """The children of the coloring words ``parents`` (``bit`` clear in
+    each) that stay within ``bound`` >= 1 on every edge word, each of size
+    above ``bound`` and holding the vertex of ``bit``: first the parents
+    with that vertex at -1, then with it at +1.
+
+    A child at -1 has the parent's popcount c on an edge word and one at +1
+    has c + 1; ``|2c - size| <= bound`` is ``c - lo <= width`` in uint8
+    (below lo the difference wraps past 64).  So one popcount per (parent,
+    edge) cell scores both children, about 2**16 cells per numpy call."""
+    lo = (sizes - bound + 1) // 2
+    width = ((sizes + bound) // 2 - lo).astype(np.uint8)
+    lo = lo.astype(np.uint8)
+    step = max(1, (1 << 16) // max(1, len(words)))
+    minus, plus = [], []
+    for i in range(0, len(parents), step):
+        off = np.bitwise_count(parents[i:i + step, None] & words) - lo
+        minus.append((off <= width).all(axis=1))
+        off += 1
+        plus.append((off <= width).all(axis=1))
+    return np.concatenate([parents[np.concatenate(minus)],
+                           parents[np.concatenate(plus)] | np.uint64(bit)])
+
+
 def exact_discrepancy(n: int) -> DiscReport:
     """Exact minimum over all colorings of the maximum edge imbalance.
 
-    ``_scan`` takes the 2**(n-1) colorings with chi(1) = +1 (the sign flip
-    is a symmetry), words ``pos = 2x + 1``, ``_CHUNK`` at a time in
-    increasing x, so the witness is the least minimizing x."""
+    A branch-and-bound over prefixes.  Vertex 1 is +1 (the sign flip is a
+    symmetry), so the candidates are the words ``pos = 2x + 1``.  For each
+    bound v = 1, 2, ... (every singleton is an edge) the vertices n, ...,
+    2 are set in turn, and ``_children`` keeps the words within v on the
+    edges whose lowest vertex but 1 was just set, now decided (an edge of
+    size at most v always is).  The first v that some word survives is
+    the optimum, and the survivors are every optimal word, so the witness,
+    the least of them, is the least minimizing x, as in a scan of all
+    2**(n-1) words."""
     if n > EXACT_CAP:
         raise CapExceeded(f"exact search capped at n={EXACT_CAP}")
     words, sizes = _packed_edges(n)
-    batches = (np.arange(lo, min(lo + 2 * _CHUNK, 1 << n), 2, dtype=np.uint64)
-               for lo in range(1, 1 << n, 2 * _CHUNK))
-    best, word = _scan(words, sizes, batches)
+    rest = words & ~np.uint64(1)
+    levels = []
+    for z in range(n - 1, 0, -1):
+        # the edges whose lowest vertex other than 1 is z + 1
+        at = (rest & np.uint64((2 << z) - 1)) == np.uint64(1 << z)
+        levels.append((1 << z, words[at], sizes[at]))
+    for best in itertools.count(1):
+        frontier = np.ones(1, dtype=np.uint64)
+        for bit, w, s in levels:
+            frontier = _children(frontier, w[s > best], s[s > best], best, bit)
+            if not frontier.size:
+                break
+        else:
+            break
+    word = int(frontier.min())
+    worst = int(_imbalances(words, sizes, np.array([word], dtype=np.uint64)).max())
+    check_invariant(worst == best, "exact-rescore",
+                    f"witness word {word} scores {worst} over every edge, "
+                    f"the search reported {best} at n={n}")
     return DiscReport(n=n, method="exhaustive", disc_value=best,
                       n_edges=len(words), **_witness(n, word, words, sizes))
 

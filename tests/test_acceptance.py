@@ -180,6 +180,12 @@ solver._edge_difference_profile = one_more_pair
 # n=1024 has colliding edges, the ones whose profile this counts
 solver.TwoNormEngine(build_family(FamilyConfig(n=1024)))
 """,
+    "solver exact-rescore": """
+from sumdisc import solver
+# keep every word with vertices 2..n at -1: the bound 1 fails on {2, 3}
+solver._children = lambda parents, words, sizes, bound, bit: parents
+solver.exact_discrepancy(8)
+""",
     "hypergraph fft-rounding": """
 import numpy as np
 from sumdisc.hypergraph import Coloring, SumEdge, translate_values

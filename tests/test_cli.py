@@ -158,7 +158,7 @@ class TestDiscCommand:
         assert rec["method"] == "random" and rec["n_edges"] == 1369
 
     def test_exact_cap_usage_error(self, runner):
-        res = runner.invoke(main, ["disc", "--n", "30", "--method", "exact"])
+        res = runner.invoke(main, ["disc", "--n", "29", "--method", "exact"])
         assert res.exit_code == 2
 
     def test_random_above_enumeration_cap(self, runner):

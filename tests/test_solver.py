@@ -18,7 +18,7 @@ from sumdisc.solver import (DiscReport, FamilyMismatch, TwoNormEngine,
 
 @pytest.fixture(scope="module")
 def exact_table():
-    return {n: exact_discrepancy(n) for n in range(1, 19)}
+    return {n: exact_discrepancy(n) for n in range(1, 21)}
 
 
 class TestTwoNorm:
@@ -175,17 +175,20 @@ class TestLagLists:
 
 
 class TestExact:
-    # full sequence for n = 1..16, frozen from this exhaustive oracle and
+    # full sequence for n = 1..16, frozen from an exhaustive oracle and
     # double-checked against a no-pruning search over the literal edge
     # definition; 17 and 18 are values the batched scan and the earlier
-    # per-edge pruning loop agree on.  Note the dip at n=12: the hypergraph
-    # at n is NOT an induced sub-hypergraph of the one at n+1 (windows clip
-    # differently at the right boundary), so the sequence is not monotone.
+    # per-edge pruning loop agree on, 19 and 20 values the batched scan
+    # and the prefix branch-and-bound agree on.  Note the dip at n=12: the
+    # hypergraph at n is NOT an induced sub-hypergraph of the one at n+1
+    # (windows clip differently at the right boundary), so the sequence is
+    # not monotone.
     FROZEN = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3,
               9: 4, 10: 4, 11: 5, 12: 4, 13: 5, 14: 5, 15: 5, 16: 5,
-              17: 6, 18: 5}
+              17: 6, 18: 5, 19: 6, 20: 6}
     # SHA-256 of each whole JSON report (value, edge count and witnesses),
     # frozen from the per-edge pruning loop the batched scan replaced
+    # (n <= 18) and from the batched scan (19 and 20)
     REPORT_SHA256 = {
         11: "10ef991720be48cca0d8fc7b4123dcd902b59a77a0a851f8564f51527c6ad982",
         12: "2d5b8f1f54268e994a33d0ccae835638eec290f236b4fd5afa749366467121c4",
@@ -195,6 +198,8 @@ class TestExact:
         16: "27794e5b9c5a23057e851f452acb358cc8c857240783834c7f67e091a504e999",
         17: "cc923ef3bf082668692cfca5b06a138c9ae157ea89c97a4be1e2f4e353907a53",
         18: "079c0dc1d3e8ec34ada226634a4f31d112b8daa5ed03039e40cb9420d8a62ae0",
+        19: "ea1f9b7211bc22221b84c431a4beb9974249a10e21e2f7290b5959c78309090d",
+        20: "bc1e3da7ddaad7d0676e48e1ca53a64741ae124c965424aed4872c4334984099",
     }
 
     def test_n1(self, exact_table):
@@ -232,7 +237,7 @@ class TestExact:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            exact_discrepancy(25)
+            exact_discrepancy(29)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_matches_no_pruning_search(self, n, exact_table, edge_sets):
@@ -250,6 +255,47 @@ class TestExact:
             worst = int(np.abs(m @ chi).max())
             best = worst if best is None else min(best, worst)
         assert exact_table[n].disc_value == best
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_matches_scan_over_every_word(self, n, exact_table):
+        # oracle: the scan of every word pos = 2x + 1 in increasing x,
+        # the first at the minimum kept
+        words, sizes = solver._packed_edges(n)
+        best, word = solver._scan(words, sizes,
+                                  [np.arange(1, 1 << n, 2, dtype=np.uint64)])
+        rep = exact_table[n]
+        assert rep.witness_coloring == [1 if word >> z & 1 else -1 for z in range(n)]
+        assert rep.disc_value == best
+
+    def test_rescore_check(self, monkeypatch):
+        # a search that keeps every word at -1 on vertices 2..n reports the
+        # bound 1, which that word's edge {2, 3} exceeds
+        monkeypatch.setattr(solver, "_children",
+                            lambda parents, words, sizes, bound, bit: parents)
+        with pytest.raises(InternalInvariantViolation, match="exact-rescore"):
+            exact_discrepancy(8)
+
+    def test_children_match_imbalances(self):
+        # both children of each parent against a direct _imbalances filter,
+        # on edge words of up to 64 vertices, where the uint8 test wraps
+        rng = np.random.default_rng(0)
+
+        def draw(size):
+            return rng.integers(0, 1 << 64, size=size, dtype=np.uint64, endpoint=False)
+
+        for z in (0, 5, 63):
+            bit = np.uint64(1 << z)
+            # about 16 vertices per word, and the word of all 64
+            words = np.append(draw(40) & draw(40), ~np.uint64(0)) | bit
+            parents = draw(2000) & ~bit
+            # none, some and all of the parents have surviving children
+            for bound in (1, 4, 7, 10, 62):
+                w = words[np.bitwise_count(words) > bound]
+                s = np.bitwise_count(w).astype(np.int16)
+                expected = [pos[(solver._imbalances(w, s, pos) <= bound).all(axis=1)]
+                            for pos in (parents, parents | bit)]
+                assert np.array_equal(solver._children(parents, w, s, bound, 1 << z),
+                                      np.concatenate(expected))
 
 
 class TestUpperBounds:
