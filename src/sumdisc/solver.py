@@ -24,9 +24,11 @@ checked on every call.  The build checks that each edge's lag list counts
 every ordered pair of its elements once (``profile-mass``).
 
 The searches at small N score colorings as uint64 words of their +1
-vertices against the canonical edge words: random and local search by
-``_scan``, the exact search by a branch-and-bound over prefixes whose
-witness is re-scored over every edge (``exact-rescore``).
+vertices against the canonical edge words: random search by ``_scan``,
+local search by signed edge imbalances updated per accepted flip, whose
+final words ``_scan`` re-scores (``local-search-rescore``), and the exact
+search by a branch-and-bound over prefixes whose witness is re-scored
+over every edge (``exact-rescore``).
 """
 
 from __future__ import annotations
@@ -461,32 +463,69 @@ def _sweep_rows(n: int, chunks: Iterable[np.ndarray]) -> tuple[int, dict]:
                   "witness_edge": window_vertices(best_window, n)}
 
 
+def _improving_flips(words: np.ndarray, pos: int, signed: np.ndarray,
+                     value: int) -> int:
+    """The uint64 word of the vertices whose flip takes the maximum edge
+    imbalance of the coloring word ``pos`` below ``value`` = max |signed|,
+    where ``signed`` holds ``2*popcount(pos & word) - size`` per edge word.
+
+    A flip of z moves the signed imbalance of each edge that holds z by 2
+    towards 0 if z is on its majority side, and away from 0 otherwise (a
+    balanced edge goes to 2).  So the maximum falls exactly when
+    ``value >= 2``, every edge at ``value`` holds z on its majority side,
+    and no edge at ``value - 1`` or ``value - 2`` holds z off its majority
+    side (a balanced edge has none)."""
+    if value < 2:
+        return 0
+    near = np.abs(signed) >= value - 2
+    w, s = words[near], signed[near]
+    majority = np.where(s > 0, np.uint64(pos), ~np.uint64(pos))
+    majority[s == 0] = 0
+    majority &= w
+    top = np.abs(s) == value
+    return int(np.bitwise_and.reduce(majority[top])
+               & ~np.bitwise_or.reduce(w[~top] & ~majority[~top]))
+
+
 def local_search_upper(n: int, restarts: int = 20, seed: int = 0) -> DiscReport:
     """Single-flip hill climbing on the max edge imbalance, random restarts.
 
-    Flipping vertex z+1 of the word ``pos`` is ``pos ^ (1 << z)``.  Every
-    flip is scored by a full edge scan, and the restarts' final words are
-    scanned again, so the value is a valid upper bound by construction."""
+    Flipping vertex z+1 of the word ``pos`` is ``pos ^ (1 << z)``.  Each
+    restart keeps the signed imbalance of every edge word and walks
+    ``rng.permutation(n)`` until a whole pass accepts nothing; a vertex is
+    accepted when its bit is in ``_improving_flips``, which then adds +-2
+    on the edges that hold it (``local-search-flip`` checks that the
+    maximum fell).  The restarts' final words are scanned again
+    (``local-search-rescore``), so the value is a valid upper bound."""
     _require_positive("restarts", restarts)
     words, sizes = _packed_edges(n)
-
-    def scan(*pos: int) -> tuple[int, int]:
-        return _scan(words, sizes, [np.array(pos, dtype=np.uint64)])
-
     rng = np.random.default_rng(seed)
     climbed = []
     for _ in range(restarts):
         pos = int(_pack(rng.choice(_SIGNS, size=(1, n)))[0])
-        value = scan(pos)[0]
+        signed = 2 * np.bitwise_count(words & np.uint64(pos)).astype(np.int16) - sizes
+        value = int(np.abs(signed).max())
+        flips = _improving_flips(words, pos, signed, value)
         improved = True
         while improved:
             improved = False
-            for z in rng.permutation(n):
-                cand = pos ^ (1 << int(z))
-                if (cand_value := scan(cand)[0]) < value:
-                    pos, value, improved = cand, cand_value, True
+            for z in rng.permutation(n).tolist():
+                if not flips >> z & 1:
+                    continue
+                bit = 1 << z
+                step = np.bitwise_count(words & np.uint64(bit)).astype(np.int16)
+                step *= -2 if pos & bit else 2
+                signed += step
+                pos ^= bit
+                old, value = value, int(np.abs(signed).max())
+                check_invariant(value < old, "local-search-flip",
+                                f"flipping vertex {z + 1} moved the maximum from "
+                                f"{old} to {value} at n={n}")
+                flips = _improving_flips(words, pos, signed, value)
+                improved = True
         climbed.append((value, pos))
-    best, best_pos = scan(*(pos for _, pos in climbed))
+    best, best_pos = _scan(words, sizes, [np.array([pos for _, pos in climbed],
+                                                   dtype=np.uint64)])
     check_invariant(best == min(climbed)[0], "local-search-rescore",
                     f"re-verification scan gives {best}, search found {min(climbed)[0]}")
     return DiscReport(n=n, method="local_search", disc_value=best,

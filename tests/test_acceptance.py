@@ -186,6 +186,12 @@ from sumdisc import solver
 solver._children = lambda parents, words, sizes, bound, bit: parents
 solver.exact_discrepancy(8)
 """,
+    "solver local-search-flip": """
+from sumdisc import solver
+# accept every vertex, improving or not
+solver._improving_flips = lambda words, pos, signed, value: (1 << 64) - 1
+solver.local_search_upper(8, restarts=1, seed=0)
+""",
     "hypergraph fft-rounding": """
 import numpy as np
 from sumdisc.hypergraph import Coloring, SumEdge, translate_values

@@ -298,6 +298,34 @@ class TestExact:
                                       np.concatenate(expected))
 
 
+def per_flip_climb(n, restarts, seed):
+    """The hill climb that incremental edge counts replaced, the oracle of
+    ``local_search_upper``: a full scan of every candidate flip, the same
+    rng calls in the same order."""
+    words, sizes = solver._packed_edges(n)
+
+    def scan(*pos):
+        return solver._scan(words, sizes, [np.array(pos, dtype=np.uint64)])
+
+    rng = np.random.default_rng(seed)
+    climbed = []
+    for _ in range(restarts):
+        pos = int(solver._pack(rng.choice(solver._SIGNS, size=(1, n)))[0])
+        value = scan(pos)[0]
+        improved = True
+        while improved:
+            improved = False
+            for z in rng.permutation(n):
+                cand = pos ^ (1 << int(z))
+                if (cand_value := scan(cand)[0]) < value:
+                    pos, value, improved = cand, cand_value, True
+        climbed.append((value, pos))
+    best, best_pos = scan(*(pos for _, pos in climbed))
+    return DiscReport(n=n, method="local_search", disc_value=best,
+                      n_edges=len(words), restarts=restarts, seed=seed,
+                      **solver._witness(n, best_pos, words, sizes))
+
+
 class TestUpperBounds:
     def test_random_n1(self):
         assert random_coloring_upper(1, trials=3, seed=0).disc_value == 1
@@ -318,6 +346,80 @@ class TestUpperBounds:
         rep = local_search_upper(14, restarts=8, seed=3)
         assert rep.disc_value <= random_coloring_upper(
             14, trials=8, seed=3).disc_value + 2
+
+    @pytest.mark.parametrize("n", [*range(1, 34), 40])
+    def test_local_search_matches_per_flip_climb(self, n):
+        for seed, restarts in ((0, 1), (1, 3), (7, 4)):
+            assert local_search_upper(n, restarts, seed) == \
+                per_flip_climb(n, restarts, seed)
+
+    def test_local_search_flips_vertex_64(self, monkeypatch):
+        # the 64 singletons and sparse words that all hold vertex 64, in
+        # place of the n=64 edges (enumerated in seconds): flips of the top
+        # bit are accepted, as in the per-flip climb
+        rng = np.random.default_rng(0)
+        sparse = rng.integers(1 << 64, size=(3, 40), dtype=np.uint64)
+        words = np.concatenate([np.uint64(1) << np.arange(64, dtype=np.uint64),
+                                np.bitwise_and.reduce(sparse) | np.uint64(1 << 63)])
+        monkeypatch.setattr(solver, "_packed_edges", lambda n: (
+            words, np.bitwise_count(words).astype(np.int16)))
+        flipped = 0
+        for seed in range(10):
+            rep = local_search_upper(64, 1, seed)
+            assert rep == per_flip_climb(64, 1, seed)
+            # the one restart's start, the first draw of its stream
+            start = np.random.default_rng(seed).choice(solver._SIGNS, size=(1, 64))
+            flipped += rep.witness_coloring[63] != start[0, 63]
+        assert flipped > 0
+
+    def test_improving_flips_match_brute_force(self):
+        def brute(words, pos, value, n):
+            sizes = np.bitwise_count(words).astype(np.int16)
+            flips = np.array([pos ^ (1 << z) for z in range(n)], dtype=np.uint64)
+            fall = solver._imbalances(words, sizes, flips).max(axis=1) < value
+            return sum(1 << z for z in range(n) if fall[z])
+
+        def check(words, pos, n):
+            sizes = np.bitwise_count(words).astype(np.int16)
+            signed = 2 * np.bitwise_count(words & np.uint64(pos)).astype(np.int16) - sizes
+            value = int(np.abs(signed).max())
+            got = solver._improving_flips(words, pos, signed, value)
+            assert got == brute(words, pos, value, n), (n, pos)
+            return got
+
+        # every coloring word over the canonical edges at n <= 8; at n <= 3
+        # the maximum is at most 2 and balanced edges decide
+        for n in range(1, 9):
+            words, _ = solver._packed_edges(n)
+            found = [check(words, pos, n) for pos in range(1 << n)]
+            assert any(found) == (n > 1)
+        # random edge words up to 64 vertices, sparse enough that flips
+        # often improve; vertex 64 is the top bit
+        rng = np.random.default_rng(0)
+        improving = top = 0
+        for n in (5, 17, 40, 63, 64):
+            for _ in range(300):
+                words = rng.integers(1 << 64, size=int(rng.integers(1, 12)),
+                                     dtype=np.uint64) & np.uint64((1 << n) - 1)
+                for _ in range(int(rng.integers(1, 5))):
+                    words &= rng.integers(1 << 64, size=words.size, dtype=np.uint64)
+                words = words[words != 0]
+                if n == 64:
+                    words[::2] |= np.uint64(1 << 63)
+                pos = int(rng.integers(1 << 64, dtype=np.uint64)) & ((1 << n) - 1)
+                if words.size:
+                    got = check(words, pos, n)
+                    improving += got != 0
+                    top |= got >> 63
+        assert improving > 300 and top == 1
+
+    def test_flip_check(self, monkeypatch):
+        # a climb that accepts every vertex takes a flip that does not lower
+        # the maximum
+        monkeypatch.setattr(solver, "_improving_flips",
+                            lambda words, pos, signed, value: (1 << 64) - 1)
+        with pytest.raises(InternalInvariantViolation, match="local-search-flip"):
+            local_search_upper(8, restarts=1, seed=0)
 
     def test_report_fields(self):
         rep = random_coloring_upper(10, trials=5, seed=1)
