@@ -3,25 +3,21 @@ and the squared-imbalance averaging lower bound over the structured family.
 
 The averaging bound evaluates
 ``S = sum over family edges E, offsets a of chi(a + E)**2`` exactly.  For
-each edge, S_E collapses to a dot product between the autocorrelation of
-the coloring and the difference profile of the edge (how often each gap u
-occurs between two edge elements).  ``TwoNormEngine`` builds every edge's
-profile once, as a lag list: consecutive collision-free edges of equal
-lengths are built together in numpy batches of about 2**18 lag-grid
-cells, one key sort and one ``reduceat`` per batch, and only the edges
-whose lattice points collide are enumerated one at a time.  A
-whole-family evaluation is then one autocorrelation, one dot product (the
-total) and the per-edge sums, taken over blocks of whole edges of about
-2**17 lags (one gather, one in-place multiply and one ``reduceat`` per
-block) so a call holds one block, not every lag, in memory.  The
+each edge, S_E is a sum of the autocorrelation A of the coloring over the
+gaps between ordered pairs of its elements, which ``TwoNormEngine`` takes
+by triangle filters along the chains of stride d1 (a lag list only for
+the few edges whose lattice points collide); the filters in transpose
+give the family's gap profile, so S is one dot product.  The
 autocorrelation and the witness edge's translate values are correlations
 computed as float FFTs and rounded to integers
 (``hypergraph.exact_correlation``), which checks that every rounding
 residue is below 0.25; the sums over them are int64.
 S >= n**3 / 90000 holds for every coloring, and the offset maximizer
 always exceeds sqrt(n)/1200 in absolute color value; both facts are
-checked on every call.  The build checks that each edge's lag list counts
-every ordered pair of its elements once (``profile-mass``).
+checked on every call, and so is that the per-edge sums add up to S
+(``edge-total``, the filters against their transpose).  The build checks
+that the profile and each edge's sums count every ordered pair of its
+elements once (``profile-mass``, and ``edge-mass`` with A = 1).
 
 The searches at small N score colorings as uint64 words of their +1
 vertices against the canonical edge words: random search by ``_scan``,
@@ -55,10 +51,6 @@ from .numtheory import check_invariant
 log = logging.getLogger(__name__)
 
 EXACT_CAP = 28
-# grid cells per numpy batch of the lag-list build, and lags per block of
-# the per-edge sums in ``TwoNormEngine.evaluate``
-_CELL_BATCH = 1 << 18
-_LAG_BLOCK = 1 << 17
 
 
 class FamilyMismatch(ValueError):
@@ -130,125 +122,137 @@ def _edge_difference_profile(e: SumEdge) -> np.ndarray:
     return np.bincount(diffs[keep], minlength=e.span + 1).astype(np.int64)
 
 
-def _half_grid_cells(l1: int, l2: int) -> int:
-    """Cell count of the half lag grid of an l1 x l2 edge, a bound on its
-    distinct nonnegative lags whether or not its lattice points collide."""
-    return l1 + (l2 - 1) * (2 * l1 - 1)
+def _chain_sums(values: np.ndarray, d1: int) -> np.ndarray:
+    """P2 of one d1 group: prefix sums of ``values`` taken twice along each
+    chain of stride d1 (positions congruent mod d1), flat; the length of
+    ``values`` is a multiple of d1."""
+    p2 = values.reshape(-1, d1).cumsum(axis=0)
+    return p2.cumsum(axis=0, out=p2).ravel()
 
 
-def _half_grid(l1: int, l2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cells (j1, j2) of the half lag grid H = {j2 > 0} u {j2 = 0,
-    j1 >= 0} of an l1 x l2 edge, origin first, and their weights
-    ``2(l1-|j1|)(l2-j2)``, except ``l1*l2`` at the origin: each cell off
-    the origin stands for itself and its mirror (-j1, -j2)."""
-    j1 = np.arange(-(l1 - 1), l1, dtype=np.int64)
-    j1 = np.concatenate([j1[l1 - 1:], np.tile(j1, l2 - 1)])
-    j2 = np.repeat(np.arange(l2, dtype=np.int64), [l1] + [2 * l1 - 1] * (l2 - 1))
-    w = 2 * (l1 - np.abs(j1)) * (l2 - j2)
-    w[0] = l1 * l2
-    return j1, j2, w
-
-
-def _grid_lag_lists(d1: np.ndarray, d2: np.ndarray, l1: int,
-                    l2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lag lists of the collision-free edges (d1[i], l1, d2[i], l2): the
-    sorted distinct lags ``|j1*d1 + j2*d2|`` over the half grid, their
-    summed cell weights, and the lag count of each edge.
-
-    No lattice point of a collision-free edge repeats, so only the origin
-    has lag 0; each row sorts one key ``(lag << bits) | cell`` and merges
-    equal lags by ``reduceat``, which gives the nonzero entries of the
-    edge's doubled difference profile in increasing lag order."""
-    j1, j2, w = _half_grid(l1, l2)
-    cells = w.size
-    bits = (cells - 1).bit_length()
-    keys = np.outer(d1, j1)
-    keys += np.outer(d2, j2)
-    np.abs(keys, out=keys)
-    keys <<= bits
-    keys |= np.arange(cells)
-    keys.sort(axis=1)
-    keys = keys.ravel()
-    lags = keys >> bits
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(lags[1:], lags[:-1], out=first[1:])
-    first[::cells] = True
-    starts = np.flatnonzero(first)
-    weights = np.add.reduceat(w[keys & ((1 << bits) - 1)], starts)
-    return lags[starts], weights, first.reshape(-1, cells).sum(axis=1)
-
-
-def _lag_lists(edges: list[SumEdge]) -> Iterator[tuple[np.ndarray, ...]]:
-    """The engine's lag lists, in edge order, as (lags, weights, lag count
-    per edge) pieces.  Consecutive collision-free edges of equal lengths
-    share one half grid and are built ``_grid_lag_lists`` rows of about
-    ``_CELL_BATCH`` cells at a time; a colliding edge is its own piece, the
-    nonzero entries of its doubled ``_edge_difference_profile``."""
-    for (l1, l2, free), run in itertools.groupby(
-            edges, key=lambda e: (e.l1, e.l2, e.collision_free)):
-        if not free:
-            for e in run:
-                prof = _edge_difference_profile(e)
-                prof[1:] *= 2
-                lags = np.flatnonzero(prof)
-                yield lags, prof[lags], np.array([lags.size])
-            continue
-        d = np.array([(e.d1, e.d2) for e in run], dtype=np.int64)
-        rows = max(1, _CELL_BATCH // _half_grid_cells(l1, l2))
-        for lo in range(0, len(d), rows):
-            yield _grid_lag_lists(d[lo:lo + rows, 0], d[lo:lo + rows, 1], l1, l2)
+def _chain_sums_transposed(values: np.ndarray, d1: int) -> np.ndarray:
+    """The transpose of ``_chain_sums``: suffix sums taken twice."""
+    r = values.reshape(-1, d1)[::-1].cumsum(axis=0)
+    return r.cumsum(axis=0, out=r)[::-1].ravel()
 
 
 class TwoNormEngine:
-    """Lag lists of one family, reusable across many colorings.
+    """Per-edge sums ``S_E = sum over ordered element pairs (x, y) of
+    A(|x - y|)`` of one family, for the autocorrelation A of any coloring.
 
-    Edge i owns ``lags[seg_starts[i]:seg_starts[i+1]]``, its distinct
-    nonnegative gaps between elements, and the same slice of ``weights``,
-    how many ordered element pairs are that far apart in either direction,
-    so ``S_E = sum of weights * A[lags]`` for the autocorrelation A;
-    ``fam_profile`` is the weights summed per lag over the family.  The
-    lists are built in numpy batches (``_lag_lists``) straight into one
-    allocation each, sized by the half-grid cell counts (pages past the
-    last lag are never written).  ``evaluate`` sums them in blocks of
-    whole edges of about ``_LAG_BLOCK`` lags, fixed here, so a call
-    allocates one block's buffer, not two arrays of every lag."""
+    A collision-free edge (d1, l1, d2, l2) counts the lattice offset
+    (s1, s2) with weight (l1-|s1|)(l2-|s2|), so
+    ``S_E = l2*T(0) + 2 * sum over s2 = 1..l2-1 of (l2-s2) * T(s2*d2)``
+    with ``T(x) = sum over |s1| < l1 of (l1-|s1|) * A(|x + s1*d1|)``, a
+    triangle filter along the d1-chain through x:
+    ``T(x) = P2(y) - 2*P2(y - l1*d1) + P2(y - 2*l1*d1)`` for
+    ``y = x + (l1-1)*d1``, where P2 is ``_chain_sums`` of A extended
+    symmetrically.  The edges of one d1 share one P2 over the positions
+    [lo, max y], lo = -max (l1+1)*d1, and each (edge, s2) entry keeps its
+    index y - lo into it (intp, as numpy gathers by), its step l1*d1 and
+    its weight (int32).  Only the edges whose lattice points collide keep
+    a lag list: the i-th of them owns ``lags[seg_starts[i]:seg_starts[i+1]]``,
+    its distinct nonnegative gaps, and the same slice of ``weights``, how
+    many ordered element pairs are that far apart.  ``fam_profile``, the
+    weight of each gap over the family, comes from the filters run in
+    transpose, so ``S = fam_profile @ A``.  All sums are int64 and exact."""
 
     def __init__(self, family: FamilyE0):
-        self.n = family.n
+        n = self.n = family.n
         self.edges = list(family.all_edges())
         self.n_edges = len(self.edges)
-        cap = sum(_half_grid_cells(e.l1, e.l2) for e in self.edges)
-        lags, weights = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
-        self.fam_profile = np.zeros(self.n, dtype=np.int64)
-        used, count_parts = 0, []
-        for part_lags, part_weights, counts in _lag_lists(self.edges):
-            np.add.at(self.fam_profile, part_lags, part_weights)
-            lags[used:used + part_lags.size] = part_lags
-            weights[used:used + part_lags.size] = part_weights
-            used += part_lags.size
-            count_parts.append(counts)
-        self.lags, self.weights = lags[:used], weights[:used]
-        counts = np.concatenate(count_parts)
-        self.seg_starts = np.concatenate([[0], np.cumsum(counts[:-1])]).astype(np.int64)
-        # the lag-0 weight of an edge is |E|, and its weights count each
-        # ordered pair of its elements once
-        sizes = self.weights[self.seg_starts]
-        pairs, mass = int(np.dot(sizes, sizes)), int(self.weights.sum())
-        profile_mass = int(self.fam_profile.sum())
+        self.fam_profile = np.zeros(n, dtype=np.int64)
+        shape = np.array([(e.d1, e.l1, e.d2, e.l2) for e in self.edges],
+                         dtype=np.int64).reshape(-1, 4)
+        free = np.array([e.collision_free for e in self.edges], dtype=bool)
+        sizes = shape[:, 1] * shape[:, 3]
+        self._colliding = np.flatnonzero(~free)
+        lags, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for i in self._colliding.tolist():
+            prof = _edge_difference_profile(self.edges[i])
+            prof[1:] *= 2
+            self.fam_profile[:prof.size] += prof
+            lags.append(np.flatnonzero(prof))
+            weights.append(prof[lags[-1]])
+        counts = np.array([part.size for part in lags[1:]], dtype=np.int64)
+        self.lags, self.weights = np.concatenate(lags), np.concatenate(weights)
+        self.seg_starts = np.cumsum(counts) - counts
+        sizes[self._colliding] = self.weights[self.seg_starts]
+
+        # the collision-free edges in order of d1, their entries edge by edge
+        self._free = np.flatnonzero(free)[np.argsort(shape[free, 0], kind="stable")]
+        d1s, l1s, d2s, l2s = shape[self._free].T
+        ends = np.cumsum(l2s)
+        self._pos = np.empty(int(l2s.sum()), dtype=np.intp)
+        self._step, self._w = np.empty((2, self._pos.size), dtype=np.int32)
+        # per d1: (d1, lo, P2 cells, entry slice, edge slice, entry starts)
+        self._groups = []
+        firsts = np.unique(d1s, return_index=True)[1].tolist()
+        for ea, eb in zip(firsts, [*firsts[1:], len(d1s)]):
+            d1, l1, d2, l2 = int(d1s[ea]), l1s[ea:eb], d2s[ea:eb], l2s[ea:eb]
+            lo = -int((l1 + 1).max()) * d1
+            hi = int(((l1 - 1) * d1 + (l2 - 1) * d2).max())
+            cells = -(-(hi - lo + 1) // d1) * d1
+            a, b = int(ends[ea] - l2s[ea]), int(ends[eb - 1])
+            starts = np.cumsum(l2) - l2
+            k = np.repeat(np.arange(eb - ea), l2)
+            s2 = np.arange(b - a) - starts[k]
+            pos, step = s2 * d2[k] + ((l1 - 1) * d1 - lo)[k], (l1 * d1)[k]
+            w = 2 * (l2[k] - s2)
+            w[starts] = l2
+            self._pos[a:b], self._step[a:b], self._w[a:b] = pos, step, w
+            self._groups.append((d1, lo, cells, a, b, ea, eb, starts))
+            # the three taps of each entry, then the suffix sums: coef[i]
+            # weighs A(|lo + i|), and is 0 where |lo + i| >= n
+            taps = np.zeros(cells, dtype=np.int64)
+            for at, tap in ((pos, w), (pos - step, -2 * w), (pos - 2 * step, w)):
+                np.add.at(taps, at, tap)
+            coef = _chain_sums_transposed(taps, d1)
+            neg = min(-lo, n - 1)
+            self.fam_profile[:hi + 1] += coef[-lo:-lo + hi + 1]
+            self.fam_profile[1:neg + 1] += coef[-lo - 1::-1][:neg]
+        # A extended to the positions +-(n-1+2*d1), which hold every P2
+        # (lo >= -(n-1+2*d1), as (l1-1)*d1 <= n-1), 0 past +-(n-1)
+        self._pad = n - 1 + 2 * int(d1s.max(initial=0))
+
+        # each edge's weights count every ordered pair of its elements once
+        coll_sizes = self.weights[self.seg_starts]
+        coll_pairs, mass = int(np.dot(coll_sizes, coll_sizes)), int(self.weights.sum())
+        pairs, profile_mass = int(np.dot(sizes, sizes)), int(self.fam_profile.sum())
         check_invariant(bool(np.all(self.lags[self.seg_starts] == 0))
-                        and profile_mass == mass == pairs, "profile-mass",
-                        f"weights sum to {mass} and the profile to {profile_mass}, "
-                        f"not the {pairs} ordered element pairs at n={self.n}")
-        # a block of edges starts at each edge that holds a multiple of
-        # _LAG_BLOCK; edge i's lags end at ends[i + 1]
-        ends = np.append(self.seg_starts, used).tolist()
-        firsts = np.unique(np.searchsorted(
-            self.seg_starts, np.arange(0, used, _LAG_BLOCK), side="right") - 1).tolist()
-        self._blocks = [(e_lo, e_hi, ends[e_lo], ends[e_hi],
-                         self.seg_starts[e_lo:e_hi] - ends[e_lo])
-                        for e_lo, e_hi in zip(firsts, [*firsts[1:], self.n_edges])]
-        self._block_len = max(hi - lo for _, _, lo, hi, _ in self._blocks)
+                        and mass == coll_pairs and profile_mass == pairs, "profile-mass",
+                        f"colliding weights sum to {mass}, not {coll_pairs}, and the profile "
+                        f"to {profile_mass}, not the {pairs} ordered element pairs at n={n}")
+        # and so does the forward pass with A = 1, edge by edge
+        got, want = self.edge_sums(np.ones(n, dtype=np.int64)), sizes * sizes
+        bad = [(self.edges[i], int(got[i]), int(want[i]))
+               for i in np.flatnonzero(got != want)[:1]]
+        check_invariant(not bad, "edge-mass",
+                        f"A = 1 gives (edge, S_E, |E|^2) = {bad} at n={n}")
+
+    def edge_sums(self, autocorr: np.ndarray) -> np.ndarray:
+        """``S_E`` of every edge, in edge order, for the autocorrelation
+        ``autocorr`` (lags 0..n-1, int64)."""
+        n, pad = self.n, self._pad
+        sym = np.zeros(2 * pad + 1, dtype=np.int64)
+        sym[pad:pad + n] = autocorr
+        sym[pad - n + 1:pad + 1] = autocorr[::-1]
+        sums = np.empty(self.n_edges, dtype=np.int64)
+        free = np.empty(self._free.size, dtype=np.int64)
+        for d1, lo, cells, a, b, ea, eb, starts in self._groups:
+            p2 = _chain_sums(sym[pad + lo:pad + lo + cells], d1)
+            pos, step = self._pos[a:b], self._step[a:b]
+            t = p2[pos]
+            pos = pos - step
+            t -= 2 * p2[pos]
+            pos -= step
+            t += p2[pos]
+            t *= self._w[a:b]
+            np.add.reduceat(t, starts, out=free[ea:eb])
+        sums[self._free] = free
+        sums[self._colliding] = np.add.reduceat(self.weights * autocorr[self.lags],
+                                                self.seg_starts)
+        return sums
 
     def evaluate(self, chi: Coloring) -> TwoNormBound:
         if chi.n != self.n:
@@ -259,16 +263,11 @@ class TwoNormEngine:
         total = int(np.dot(self.fam_profile, autocorr))
         check_invariant(90000 * total >= self.n ** 3, "two-norm-bound",
                         f"squared-imbalance total {total} < n^3/90000 at n={self.n}")
-        per_edge = np.empty(self.n_edges, dtype=np.int64)
-        buf = np.empty(self._block_len, dtype=np.int64)
-        for e_lo, e_hi, lo, hi, starts in self._blocks:
-            block = buf[:hi - lo]
-            # every lag is below n (the build's np.add.at raises otherwise),
-            # so clipping moves no index; mode="raise" would copy through
-            # a second buffer
-            np.take(autocorr, self.lags[lo:hi], out=block, mode="clip")
-            block *= self.weights[lo:hi]
-            np.add.reduceat(block, starts, out=per_edge[e_lo:e_hi])
+        # the forward pass against its transpose, on every coloring
+        per_edge = self.edge_sums(autocorr)
+        check_invariant(int(per_edge.sum()) == total, "edge-total",
+                        f"per-edge sums add up to {int(per_edge.sum())}, "
+                        f"not S = {total} at n={self.n}")
         best_edge = self.edges[int(np.argmax(per_edge))]
         values = translate_values(chi, best_edge)
         idx = int(np.argmax(np.abs(values)))

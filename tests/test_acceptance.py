@@ -6,6 +6,7 @@ lower bound on the number of distinct edges.  The last test checks that
 the invariant checks behind these criteria still run under ``python -O``.
 """
 
+import json
 import math
 import os
 import random
@@ -97,6 +98,43 @@ def test_c5_averaging_chain():
               f"min witness {min_wit} > sqrt(n)/1200 = {math.sqrt(n) / 1200:.3f}")
 
 
+AVERAGING_2_17 = """
+import json, resource, sys, time
+from sumdisc.family import FamilyConfig, build_family
+from sumdisc.hypergraph import Coloring
+from sumdisc.solver import TwoNormEngine
+n = 1 << 17
+start = time.perf_counter()
+engine = TwoNormEngine(build_family(FamilyConfig(n=n)))
+rows = []
+for name, chi in (("ones", Coloring.all_plus(n)), ("random0", Coloring.random(n, 0))):
+    bound = engine.evaluate(chi)
+    rows.append((name, bound.total, bound.witness_value))
+json.dump({"rows": rows, "seconds": time.perf_counter() - start,
+           "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}, sys.stdout)
+"""
+
+
+def test_c5_averaging_chain_n131072():
+    """Criterion 5 at N = 2^17, in bounded memory: family, engine and two
+    colorings in a fresh process, under 30 s and 512 MB of peak RSS."""
+    n = 1 << 17
+    src = str(Path(sumdisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", AVERAGING_2_17], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    for name, total, witness in out["rows"]:
+        assert 90000 * total >= n ** 3, name
+        assert 1440000 * witness ** 2 > n, name
+    rss_mb = out["maxrss_kb"] / 1024
+    assert out["seconds"] < 30 and rss_mb < 512, out
+    print(f"[criterion 5] PASS n={n}: {out['rows']} in {out['seconds']:.1f} s, "
+          f"peak RSS {rss_mb:.0f} MB")
+
+
 def test_c6_fourier_side_equality():
     """Criterion 6: translate-loop S equals grid quadrature of
     |chi_hat|^2 * sum_E |edge_hat|^2 to 1e-6 relative at small n."""
@@ -179,6 +217,22 @@ def one_more_pair(e):
 solver._edge_difference_profile = one_more_pair
 # n=1024 has colliding edges, the ones whose profile this counts
 solver.TwoNormEngine(build_family(FamilyConfig(n=1024)))
+""",
+    "solver edge-mass": """
+from sumdisc import solver
+from sumdisc.family import FamilyConfig, build_family
+# one chain prefix sum where the triangle filters take two
+solver._chain_sums = lambda values, d1: values.reshape(-1, d1).cumsum(axis=0).ravel()
+solver.TwoNormEngine(build_family(FamilyConfig(n=100)))
+""",
+    "solver edge-total": """
+from sumdisc.family import FamilyConfig, build_family
+from sumdisc.hypergraph import Coloring
+from sumdisc.solver import TwoNormEngine
+engine = TwoNormEngine(build_family(FamilyConfig(n=100)))
+# the same mass, moved off the filters' transpose: S moves by A(0) - A(1)
+engine.fam_profile[:2] += [1, -1]
+engine.evaluate(Coloring.random(100, seed=0))
 """,
     "solver exact-rescore": """
 from sumdisc import solver

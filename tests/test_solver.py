@@ -87,9 +87,9 @@ class TestTwoNorm:
 
 
 def _loop_lag_lists(fam):
-    """The per-edge loop the batched build replaced: one dense profile per
-    edge (from the lag grid if collision-free, else from its elements),
-    doubled off lag 0, and its nonzero entries."""
+    """The per-edge loop the lag lists and then the chain filters replaced:
+    one dense profile per edge (from the lag grid if collision-free, else
+    from its elements), doubled off lag 0, and its nonzero entries."""
     fam_profile = np.zeros(fam.n, dtype=np.int64)
     lag_parts, weight_parts, seg_lengths = [], [], []
     for e in fam.all_edges():
@@ -118,20 +118,44 @@ def _loop_lag_lists(fam):
             fam_profile)
 
 
-def _engine_arrays(engine):
-    return engine.lags, engine.weights, engine.seg_starts, engine.fam_profile
+def _oracle_edge_sums(oracle, autocorr):
+    """Per-edge ``sum of weights * A[lags]`` over the oracle's lag lists."""
+    lags, weights, seg_starts, _ = oracle
+    return np.add.reduceat(weights * autocorr[lags], seg_starts)
+
+
+def _autocorr(chi):
+    return solver.exact_correlation(chi.values, chi.values)[chi.n - 1:]
 
 
 class TestLagLists:
-    # SHA-256 of the bytes of lags, weights, seg_starts and fam_profile at
-    # n=16384, recorded from the per-edge loop
-    SHA256_16384 = "3b77ca3b0dee5b3e1b14b7346774510a5213c3327c7074185ee4dfb5e991a743"
+    # SHA-256 at n=16384 of the bytes of fam_profile, and of the per-edge
+    # sums for ones, alt, block and the random colorings of seeds 1 and 2,
+    # both recorded from the whole-family lag lists the chain filters
+    # replaced
+    PROFILE_SHA256_16384 = "cd48ae538e6a39bbc4d28693d48e6b7ed9c9e2719bc835f1f9038626e8c41e9d"
+    EDGE_SUMS_SHA256_16384 = "1464f78803c452157ab103b73055f38129ff20ba4d679d644e0ff19e23b0cdaa"
 
     def _assert_matches_loop(self, n):
         fam = build_family(FamilyConfig(n=n))
-        for got, want in zip(_engine_arrays(TwoNormEngine(fam)), _loop_lag_lists(fam)):
-            assert got.dtype == want.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
+        engine = TwoNormEngine(fam)
+        oracle = _loop_lag_lists(fam)
+        assert engine.fam_profile.dtype == np.int64
+        np.testing.assert_array_equal(engine.fam_profile, oracle[3])
+        for chi in (Coloring.alternating(n), Coloring.block(n),
+                    Coloring.random(n, seed=n)):
+            got = engine.edge_sums(_autocorr(chi))
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, _oracle_edge_sums(oracle, _autocorr(chi)))
+        # the colliding edges keep the oracle's lag lists, in edge order
+        lags, weights, seg_starts, _ = oracle
+        ends = np.append(seg_starts[1:], lags.size)
+        keep = [np.arange(seg_starts[i], ends[i]) for i in engine._colliding]
+        keep = np.concatenate([np.empty(0, dtype=np.int64), *keep])
+        np.testing.assert_array_equal(engine.lags, lags[keep])
+        np.testing.assert_array_equal(engine.weights, weights[keep])
+        assert engine.lags.dtype == engine.weights.dtype == np.int64
+        assert engine.seg_starts.size == engine._colliding.size
 
     def test_matches_loop_small_n(self):
         for n in range(1, 130):
@@ -141,37 +165,24 @@ class TestLagLists:
     def test_matches_loop(self, n):
         self._assert_matches_loop(n)
 
-    def test_frozen_bytes_16384(self):
-        engine = TwoNormEngine(build_family(FamilyConfig(n=16384)))
-        digest = hashlib.sha256()
-        for arr in _engine_arrays(engine):
-            assert arr.dtype == np.int64
-            digest.update(arr.tobytes())
-        assert digest.hexdigest() == self.SHA256_16384
+    @pytest.fixture(scope="class")
+    def engine_16384(self):
+        return TwoNormEngine(build_family(FamilyConfig(n=16384)))
 
-    @pytest.mark.parametrize("n", [576, 1024])
-    def test_block_bounds(self, n, monkeypatch):
-        fam = build_family(FamilyConfig(n=n))
-        default = TwoNormEngine(fam)
-        colorings = [Coloring.alternating(n), Coloring.block(n)]
-        colorings += [Coloring.random(n, seed=s) for s in range(3)]
-        want = [default.evaluate(chi) for chi in colorings]
-        longest = int(np.diff(np.append(default.seg_starts, default.lags.size)).max())
-        for block in (1, 7, longest // 2):
-            monkeypatch.setattr(solver, "_LAG_BLOCK", block)
-            engine = TwoNormEngine(fam)
-            if block == 1:
-                # a block boundary on every edge
-                assert len(engine._blocks) == engine.n_edges
-            if block == longest // 2:
-                # an edge larger than a block
-                assert max(hi - lo for _, _, lo, hi, _ in engine._blocks) >= longest
-            for chi, bound in zip(colorings, want):
-                got = engine.evaluate(chi)
-                assert (got.total, got.witness_edge, got.witness_offset,
-                        got.witness_value) == (bound.total, bound.witness_edge,
-                                               bound.witness_offset,
-                                               bound.witness_value)
+    def test_frozen_fam_profile_16384(self, engine_16384):
+        profile = engine_16384.fam_profile
+        assert profile.dtype == np.int64
+        assert hashlib.sha256(profile.tobytes()).hexdigest() == self.PROFILE_SHA256_16384
+
+    def test_frozen_edge_sums_16384(self, engine_16384):
+        n = 16384
+        digest = hashlib.sha256()
+        for chi in (Coloring.all_plus(n), Coloring.alternating(n), Coloring.block(n),
+                    Coloring.random(n, seed=1), Coloring.random(n, seed=2)):
+            sums = engine_16384.edge_sums(_autocorr(chi))
+            assert sums.dtype == np.int64
+            digest.update(sums.tobytes())
+        assert digest.hexdigest() == self.EDGE_SUMS_SHA256_16384
 
 
 class TestExact:
