@@ -7,9 +7,11 @@ hyperedges of the full hypergraph.  Colorings are +-1 on [1, N] and 0
 elsewhere, so the color value of a translate is a plain finite sum.
 
 ``canonical_edge_masks`` lists every distinct nonempty hyperedge at
-small N, one 64-bit bitmask word per edge.  A template is one integer
-bitmask, and each window of it is that integer shifted and cut to N bits;
-a set of words drops the windows that repeat an edge.  It does not iterate
+small N, one 64-bit bitmask word per edge, in numpy batches of words
+(one per first difference d1).  The bits a template's windows read form
+one 2N-1 bit strip in two uint64 limbs, and each window is that strip
+shifted and cut to N bits; a sort of each batch and one running sorted
+union drop the windows that repeat an edge.  It does not iterate
 the naive parameter space (which is astronomically redundant); instead it
 enumerates canonical representatives:
 
@@ -440,15 +442,94 @@ def window_vertices(w: TranslatedEdgeValue, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _group_index(counts: np.ndarray) -> np.ndarray:
+    """The index of each element within its group, for groups of the
+    given sizes laid end to end."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+
+
+def _limbs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean rows of 128 bits as two flat uint64 arrays, the low and the
+    high limb (bit b of a row is bit b % 64 of limb b // 64)."""
+    words = np.packbits(bits, axis=-1, bitorder="little").view("<u8").reshape(-1, 2)
+    return words[:, 0].astype(np.uint64), words[:, 1].astype(np.uint64)
+
+
+def _sorted_distinct(words: np.ndarray) -> np.ndarray:
+    """A sorted array without its repeats."""
+    keep = np.empty(words.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(words[1:], words[:-1], out=keep[1:])
+    return words[keep]
+
+
+def _progression_windows(n: int) -> np.ndarray:
+    """Plain progression windows, both endpoints inside [1, n]: per d the
+    prefixes of the progression {0, d, 2d, ...} as one cumsum of its bits,
+    the prefix of span s shifted to each of the starts 1..n - s."""
+    prefixes, spans = [], []
+    for d in range(1, n + 1):
+        s = np.arange(0, n, d, dtype=np.uint64)
+        prefixes.append(np.cumsum(np.uint64(1) << s))
+        spans.append(s)
+    shifts = n - np.concatenate(spans).astype(np.int64)
+    return (np.repeat(np.concatenate(prefixes), shifts)
+            << _group_index(shifts).astype(np.uint64))
+
+
+def _pair_windows(n: int, d1: int, prog: tuple, low: tuple) -> np.ndarray:
+    """Two-progression windows with first difference d1: d2 < d1, both
+    lengths >= 2, all four boundary rows/columns visible.
+
+    Template (d2, l2, l1) has the spans s1 = (l1-1)*d1 and s2 = (l2-1)*d2,
+    M = max and m = min of them, and m + n - M windows: window j reads the
+    positions [M + j - (n-1), M + j] (both corners inside).  All of them lie
+    in the strip [M - (n-1), M + n), held as a 2n-1 bit word in two uint64
+    limbs, so window j is that word shifted right by j.  Row j1 of the
+    template, {j1*d1 + j2*d2 : j2 < l2}, meets the strip in one d2-progression
+    cut at its top: a gather from ``prog`` (indexed by d2 and its first bit)
+    ANDed with ``low`` (indexed by the bit above its last element)."""
+    d2 = np.repeat(np.arange(1, d1), n - 1)
+    s2 = np.tile(np.arange(1, n), d1 - 1) * d2
+    # spans must differ by at most n-1 for all four boundaries
+    l1_lo = np.maximum(2, (s2 - (n - 1) + d1 - 1) // d1 + 1)
+    l1_hi = np.minimum(n, (s2 + n - 1) // d1 + 1)
+    count = np.maximum(l1_hi - l1_lo + 1, 0)
+    k = np.repeat(np.arange(count.size), count)
+    l1, d2, s2 = l1_lo[k] + _group_index(count), d2[k], s2[k]
+    s1 = (l1 - 1) * d1
+    top = np.maximum(s1, s2)
+    width = np.minimum(s1, s2) + n - top
+
+    # one entry per row: the strip bit of its first element, which may lie
+    # below the strip, and the strip bit above its last element
+    k = np.repeat(np.arange(l1.size), l1)
+    first = _group_index(l1) * d1 + (n - 1 - top)[k]
+    step = d2[k]
+    at = (step - 1) * n + np.where(first >= 0, first, first % step)
+    above = np.minimum(first + (s2 + 1)[k], 2 * n - 1)
+    rows = np.cumsum(l1) - l1
+    lo, hi = (np.bitwise_or.reduceat(p.take(at) & q.take(above), rows)
+              for p, q in zip(prog, low))
+
+    j = _group_index(width).astype(np.uint64)
+    # hi << 1 << (63 - j) is hi << (64 - j) without a shift by 64 at j = 0
+    words = ((np.repeat(lo, width) >> j)
+             | ((np.repeat(hi, width) << np.uint64(1)) << (np.uint64(63) - j)))
+    return words & np.uint64((1 << n) - 1)
+
+
 def canonical_edge_masks(n: int) -> np.ndarray:
     """All distinct nonempty hyperedges of [1, n] as bitmask rows of one
     little-endian 64-bit word each (bit z-1 set iff vertex z in the edge),
     an (m, 8) uint8 array sorted by the words' unsigned value.
     Deterministic for a given n.
 
-    A template is one int with bit x set for each element x; a window is
-    that int shifted and cut to n bits.  Many windows repeat an edge, and
-    the set keeps one copy of each.
+    The windows come in numpy batches, the plain progressions first and then
+    one batch per d1 (``_pair_windows``).  Many windows repeat an edge:
+    each batch is sorted and its repeats dropped, then merged into one
+    running sorted union of distinct words.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -456,38 +537,19 @@ def canonical_edge_masks(n: int) -> np.ndarray:
         raise CapExceeded(
             f"canonical enumeration at n={n} exceeds cap={ENUMERATION_CAP}; the "
             "distinct edge count grows like n**4.3 and is out of reach well above 64")
-    full = (1 << n) - 1
-    words: set[int] = set()
-
-    # Plain progression windows: both endpoints inside [1, n], so the
-    # progression of span s starts at one of the vertices 1..n - s.
-    for d in range(1, n + 1):
-        t = 0
-        for s in range(0, n, d):
-            t |= 1 << s
-            words.update(t << a for a in range(n - s))
-
-    # Two-progression windows, d2 < d1, both lengths >= 2, all four boundary
-    # rows/columns visible.  Equal differences collapse to plain progressions.
+    bits = np.arange(128)
+    # prog[(d2-1)*n + s]: bits s, s + d2, s + 2*d2, ...; low[u]: bits below u
+    start = np.arange(n)[None, :, None]
+    prog = _limbs((bits >= start) & ((bits - start) % np.arange(1, n)[:, None, None] == 0))
+    low = _limbs(bits < np.arange(2 * n)[:, None])
+    union = _progression_windows(n)
+    union.sort()
+    union = _sorted_distinct(union)
     for d1 in range(2, n + 1):
-        for d2 in range(1, d1):
-            # templates are held shifted up by n - 1, so that every window
-            # is a right shift: bit 0 of window k reads position k - (n - 1)
-            col = 1 << (n - 1)
-            for l2 in range(2, n + 1):
-                s2 = (l2 - 1) * d2
-                col |= 1 << (n - 1 + s2)
-                # spans must differ by at most n-1 for all four boundaries
-                l1_lo = max(2, (s2 - (n - 1) + d1 - 1) // d1 + 1)
-                l1_hi = min(n, (s2 + n - 1) // d1 + 1)
-                if l1_lo > l1_hi:
-                    continue
-                t = 0
-                for l1 in range(1, l1_hi + 1):
-                    s1 = (l1 - 1) * d1
-                    t |= col << s1
-                    if l1 >= l1_lo:
-                        # both corners, positions s1 and s2, inside the window
-                        k_lo, k_hi = (s2, s1 + n) if s1 <= s2 else (s1, s2 + n)
-                        words.update((t >> k) & full for k in range(k_lo, k_hi))
-    return np.array(sorted(words), dtype="<u8").view(np.uint8).reshape(-1, 8)
+        words = _pair_windows(n, d1, prog, low)
+        words.sort()
+        union = np.concatenate([union, _sorted_distinct(words)])
+        # two sorted runs: the stable sort merges them
+        union.sort(kind="stable")
+        union = _sorted_distinct(union)
+    return union.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)

@@ -303,9 +303,12 @@ _CHUNK = 1024
 @functools.cache
 def _packed_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The canonical edge masks as one uint64 word per edge, and their
-    int16 sizes, cached per n (so at most ``ENUMERATION_CAP`` entries)."""
+    int16 sizes, cached per n (so at most ``ENUMERATION_CAP`` entries).
+    Both are read-only: every later search at n shares them."""
     words = canonical_edge_masks(n).view(np.uint64).ravel()
-    return words, np.bitwise_count(words).astype(np.int16)
+    sizes = np.bitwise_count(words).astype(np.int16)
+    words.flags.writeable = sizes.flags.writeable = False
+    return words, sizes
 
 
 def _imbalances(words: np.ndarray, sizes: np.ndarray,

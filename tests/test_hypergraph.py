@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +221,52 @@ class TestExactCorrelation:
                               np.correlate(a, b, "full"))
 
 
+def _set_edge_masks(n):
+    """The enumeration as a set of Python ints: each template one int, each
+    window that int shifted and cut to n bits (the oracle for the numpy
+    batches of ``canonical_edge_masks``)."""
+    full = (1 << n) - 1
+    words = set()
+    for d in range(1, n + 1):
+        t = 0
+        for s in range(0, n, d):
+            t |= 1 << s
+            words.update(t << a for a in range(n - s))
+    for d1 in range(2, n + 1):
+        for d2 in range(1, d1):
+            # templates shifted up by n - 1: bit 0 of window k reads
+            # position k - (n - 1)
+            col = 1 << (n - 1)
+            for l2 in range(2, n + 1):
+                s2 = (l2 - 1) * d2
+                col |= 1 << (n - 1 + s2)
+                l1_lo = max(2, (s2 - (n - 1) + d1 - 1) // d1 + 1)
+                l1_hi = min(n, (s2 + n - 1) // d1 + 1)
+                if l1_lo > l1_hi:
+                    continue
+                t = 0
+                for l1 in range(1, l1_hi + 1):
+                    s1 = (l1 - 1) * d1
+                    t |= col << s1
+                    if l1 >= l1_lo:
+                        k_lo, k_hi = (s2, s1 + n) if s1 <= s2 else (s1, s2 + n)
+                        words.update((t >> k) & full for k in range(k_lo, k_hi))
+    return np.array(sorted(words), dtype="<u8").view(np.uint8).reshape(-1, 8)
+
+
+# VmHWM, the peak RSS of this process's own address space: Linux carries
+# the forking process's high-water mark across exec into ru_maxrss, so
+# under a large test runner ru_maxrss would read the runner's peak
+ENUMERATION_RSS = """
+import json, re, sys
+from sumdisc.hypergraph import canonical_edge_masks
+rows = len(canonical_edge_masks(64))
+with open("/proc/self/status") as f:
+    hwm_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB", f.read()).group(1))
+json.dump({"rows": rows, "hwm_kb": hwm_kb}, sys.stdout)
+"""
+
+
 class TestEnumeration:
     # distinct-edge counts from the literal brute-force oracle above
     FROZEN_COUNTS = {1: 1, 2: 3, 3: 7, 4: 15, 5: 31, 6: 63, 7: 119, 8: 215,
@@ -230,6 +280,11 @@ class TestEnumeration:
         31: "d83887f96c131bb918ed937712794d78b0d637dc93b110faa1420ca436377eb1",
         32: "0fe3697d41ab7d6d8e2baf8b017c9358c712014f7fad05281075c1b519647f00",
         33: "0f5be342174d9ed9679d3f8bdeb6e0bc033e9fa51ce4846f3b092b0c837d12c8",
+        # recorded from the set-of-ints enumeration that the numpy batches
+        # replaced; n=64 puts vertex 64 in the top bit of the word
+        40: "a7b289ddeb8030a4b1677e97a8a25f95857b73adf55838c67d906afe32a4c31b",
+        48: "f847e54a3a18edc08e2c73059581632d89af2e80e0beba170df9f1bdff3d927e",
+        64: "500eba71849784096920c06630a35ecfb83d78bc22b3a32f3bbdccf0c28c5232",
     }
 
     def test_tiny_examples(self, edge_sets):
@@ -253,6 +308,28 @@ class TestEnumeration:
         masks = canonical_edge_masks(n)
         assert masks.dtype == np.uint8 and masks.shape[1] == 8
         assert hashlib.sha256(masks.tobytes()).hexdigest() == self.FROZEN_SHA256[n]
+
+    @pytest.mark.parametrize("n", [*range(1, 34), 40])
+    def test_matches_set_oracle(self, n):
+        got = canonical_edge_masks(n)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == _set_edge_masks(n).tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_peak_rss_n64(self):
+        # a fresh process, so that no earlier test's arrays count; the
+        # set-of-ints enumeration peaked at about 213 MB, the numpy batches
+        # at about 91 MB (2 cores, Python 3.11, numpy 2.4)
+        src = str(Path(hypergraph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        res = subprocess.run([sys.executable, "-c", ENUMERATION_RSS], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert out["rows"] == 2013798
+        assert out["hwm_kb"] / 1024 < 128, out
 
     def test_deterministic(self):
         a = canonical_edge_masks(10)

@@ -366,8 +366,9 @@ class TestUpperBounds:
 
     def test_local_search_flips_vertex_64(self, monkeypatch):
         # the 64 singletons and sparse words that all hold vertex 64, in
-        # place of the n=64 edges (enumerated in seconds): flips of the top
-        # bit are accepted, as in the per-flip climb
+        # place of the 2,013,798 n=64 edges, which the per-flip climb would
+        # scan once per candidate flip: flips of the top bit are accepted,
+        # as in the per-flip climb
         rng = np.random.default_rng(0)
         sparse = rng.integers(1 << 64, size=(3, 40), dtype=np.uint64)
         words = np.concatenate([np.uint64(1) << np.arange(64, dtype=np.uint64),
@@ -552,3 +553,13 @@ class TestEdgeWords:
                                                      dtype=np.uint64)]) == (1, 0b001)
         fields = solver._witness(3, 0b001, words, sizes)
         assert fields == {"witness_coloring": [1, -1, -1], "witness_edge": (3,)}
+
+    def test_packed_edges_read_only(self):
+        # the cached arrays are shared by every later search at that n, so
+        # an in-place write must fail rather than change them
+        words, sizes = solver._packed_edges(9)
+        with pytest.raises(ValueError, match="read-only"):
+            words[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            sizes += 1
+        assert solver._packed_edges(9)[0] is words
