@@ -5,7 +5,10 @@ to ``alpha -> sum_z f(z) * exp(2*pi*i*z*alpha)`` on [0, 1).  Only
 magnitudes matter downstream, so the sign of the exponent is a pure
 convention.  Phases are reduced exactly: for rational alpha = p/q the
 phase of z is (z*p mod q)/q, so no large-argument trigonometry ever
-happens.
+happens.  An edge's sum is a product of two geometric sums in closed
+form, or, when its lattice points collide, the sum of two such products
+over the pieces of ``hypergraph.staircase_split``; no sum runs over the
+elements.
 
 ``sum_sq_disc`` sums the squared color values of all translates of an
 edge, each value an integer correlation (a float FFT rounded to integers
@@ -22,30 +25,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypergraph import Coloring, SumEdge, edge_elements_array, translate_values
+from .hypergraph import (Coloring, SumEdge, edge_elements_array, staircase_split,
+                         translate_values)
 
 TWO_PI = 2.0 * cmath.pi
-
-# int64 is safe while |value * p| stays below 2^63; beyond that we fall back
-# to exact Python integers.
-_INT64_GUARD = 1 << 62
 
 
 class GridTooCoarse(ValueError):
     """Quadrature grid too small to integrate the polynomial exactly."""
-
-
-def _phases(values: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Fractional phases (v*p mod q)/q for nonnegative integer values."""
-    if values.size and int(values.max()) * abs(p) < _INT64_GUARD:
-        return ((values.astype(np.int64) * p) % q) / q
-    return np.array([((int(v) * p) % q) / q for v in values], dtype=float)
-
-
-def unit_exp_sum(values: np.ndarray, alpha: Fraction) -> complex:
-    """sum over v of exp(2*pi*i*v*alpha), phases reduced mod 1 exactly."""
-    ph = _phases(values, alpha.numerator, alpha.denominator)
-    return complex(np.exp(TWO_PI * 1j * ph).sum())
 
 
 def _cis_minus_one(r: int, q: int) -> complex:
@@ -73,13 +60,16 @@ def indicator_fourier(e: SumEdge, alpha: Fraction) -> complex:
     """Exponential sum of the edge's element set at alpha.
 
     With no lattice collisions the double sum factorizes into a product of
-    two geometric sums; an edge with collisions takes the direct element
-    sum.
+    two geometric sums.  An edge with collisions is the disjoint union of
+    the two collision-free translates of ``staircase_split``: the sum of
+    their products, each times the exact phase of its offset.
     """
     if e.collision_free:
         return (geometric_exp_sum(e.d1, e.l1, alpha)
                 * geometric_exp_sum(e.d2, e.l2, alpha))
-    return unit_exp_sum(edge_elements_array(e), alpha)
+    p, q = alpha.numerator, alpha.denominator
+    return sum(cmath.exp(TWO_PI * 1j * ((o * p) % q) / q) * indicator_fourier(piece, alpha)
+               for o, piece in staircase_split(e))
 
 
 def sum_sq_disc(chi: Coloring, e: SumEdge) -> int:

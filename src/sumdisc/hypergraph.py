@@ -5,6 +5,9 @@ A hyperedge template is the sumset
 start at 0); translates ``a + E`` intersected with ``[1, N]`` are the
 hyperedges of the full hypergraph.  Colorings are +-1 on [1, N] and 0
 elsewhere, so the color value of a translate is a plain finite sum.
+An edge whose lattice points collide is the disjoint union of two
+collision-free translates (``staircase_split``), which gives its size in
+closed form; the max-imbalance sweep below rests on the same identity.
 
 ``canonical_edge_masks`` lists every distinct nonempty hyperedge at
 small N, one 64-bit bitmask word per edge, in numpy batches of words
@@ -13,12 +16,12 @@ one 2N-1 bit strip in two uint64 limbs, and each window is that strip
 shifted and cut to N bits; a sort of each batch and one running sorted
 union drop the windows that repeat an edge.  It does not iterate
 the naive parameter space (which is astronomically redundant); instead it
-enumerates canonical representatives:
+enumerates canonical representatives, the windows in which all four
+boundary rows/columns of the lattice rectangle contribute a visible
+element, of two kinds of template:
 
-* plain progression windows with both endpoints visible inside [1, N], and
-* genuine two-progression windows (both lengths >= 2, distinct differences)
-  in which all four boundary rows/columns of the lattice rectangle
-  contribute a visible element.
+* plain progressions, the templates (d1, l1, d1, 1) with l1 >= 1, and
+* genuine two progressions, d2 < d1 with both lengths >= 2.
 
 Any (d1, l1, d2, l2, offset) window reduces to one of these forms by
 repeatedly dropping an invisible boundary row or column (which never
@@ -90,15 +93,31 @@ def edge_elements_array(e: SumEdge) -> np.ndarray:
     return np.unique(np.add.outer(j1, j2))
 
 
+def staircase_split(e: SumEdge) -> tuple[tuple[int, SumEdge], tuple[int, SumEdge]]:
+    """An edge with l1 > D2 (every edge whose lattice points collide) as
+    two disjoint collision-free translates ``(offset, piece)``.
+
+    With g = gcd(d1, d2), D1 = d1/g and D2 = d2/g, D2*d1 = D1*d2, so the
+    point (j1, j2) with j1 >= D2 is the element (j1 - D2, j2 + D1): the
+    columns j1 >= D2 add to the first D2 columns only their rows
+    j2 >= l2 - D1.
+    """
+    g = math.gcd(e.d1, e.d2)
+    D1, D2 = e.d1 // g, e.d2 // g
+    return ((0, SumEdge(e.d1, D2, e.d2, e.l2)),
+            (D2 * e.d1 + max(0, e.l2 - D1) * e.d2,
+             SumEdge(e.d1, e.l1 - D2, e.d2, min(e.l2, D1))))
+
+
 def edge_cardinality(e: SumEdge) -> int:
     """Number of distinct elements of the sumset.
 
-    A collision-free edge has exactly l1*l2 elements; otherwise the size is
-    computed by enumeration.
+    A collision-free edge has exactly l1*l2 elements; any other edge is
+    the sum of the sizes of its two ``staircase_split`` pieces.
     """
     if e.collision_free:
         return e.l1 * e.l2
-    return int(edge_elements_array(e).size)
+    return sum(piece.l1 * piece.l2 for _, piece in staircase_split(e))
 
 
 class Coloring:
@@ -248,7 +267,7 @@ def count_progressions(n: int) -> int:
 # Duplicated windows cannot change a maximum, so nothing is deduplicated.
 
 
-def _chain_suffix(a: np.ndarray, d: int, op: np.ufunc) -> np.ndarray:
+def chain_suffix(a: np.ndarray, d: int, op: np.ufunc) -> np.ndarray:
     """``op`` accumulated from the top down along every d-chain of ``a``
     (entries d apart); entries past the end count as 0."""
     k = -(-a.size // d)
@@ -300,7 +319,7 @@ class _PairSweep:
         self.y0 = y0
         x = np.zeros(n + d1 - y0 + 1, dtype=np.int32)
         x[1 - y0: n + 1 - y0] = v
-        self.H = H = _chain_suffix(_chain_suffix(x, d2, np.add), d1, np.add)
+        self.H = H = chain_suffix(chain_suffix(x, d2, np.add), d1, np.add)
         self.G = G = H.copy()
         if G.size > L:
             G[:-L] -= H[L:]
@@ -318,7 +337,7 @@ class _PairSweep:
         tail = H[top - hi * e:]
         upper = []
         for op in (np.maximum, np.minimum):
-            upper.append(sliding_window_view(_chain_suffix(tail, d, op), d)[:(hi - lo) * e + 1: e])
+            upper.append(sliding_window_view(chain_suffix(tail, d, op), d)[:(hi - lo) * e + 1: e])
         return np.maximum(inner.max(axis=1), upper[0]) - np.minimum(inner.min(axis=1), upper[1])
 
     def _row_window(self, d: int, e: int, lo: int, hi: int, k: int, i: int
@@ -367,8 +386,8 @@ class _PairSweep:
         if ylo <= n:
             seg = G[ylo - y0:]
             m = n - ylo + 1
-            lo = _chain_suffix(_chain_suffix(seg, d1, np.minimum), d2, np.minimum)[:m]
-            hi = _chain_suffix(_chain_suffix(seg, d1, np.maximum), d2, np.maximum)[:m]
+            lo = chain_suffix(chain_suffix(seg, d1, np.minimum), d2, np.minimum)[:m]
+            hi = chain_suffix(chain_suffix(seg, d1, np.maximum), d2, np.maximum)[:m]
             base = G[ylo - L - y0: ylo - L - y0 + m]
 
             def cone_window(i: int) -> tuple[SumEdge, int]:
@@ -464,23 +483,11 @@ def _sorted_distinct(words: np.ndarray) -> np.ndarray:
     return words[keep]
 
 
-def _progression_windows(n: int) -> np.ndarray:
-    """Plain progression windows, both endpoints inside [1, n]: per d the
-    prefixes of the progression {0, d, 2d, ...} as one cumsum of its bits,
-    the prefix of span s shifted to each of the starts 1..n - s."""
-    prefixes, spans = [], []
-    for d in range(1, n + 1):
-        s = np.arange(0, n, d, dtype=np.uint64)
-        prefixes.append(np.cumsum(np.uint64(1) << s))
-        spans.append(s)
-    shifts = n - np.concatenate(spans).astype(np.int64)
-    return (np.repeat(np.concatenate(prefixes), shifts)
-            << _group_index(shifts).astype(np.uint64))
-
-
 def _pair_windows(n: int, d1: int, prog: tuple, low: tuple) -> np.ndarray:
-    """Two-progression windows with first difference d1: d2 < d1, both
-    lengths >= 2, all four boundary rows/columns visible.
+    """The canonical windows with first difference d1, all four boundary
+    rows/columns visible: the two-progression templates, d2 < d1 with
+    l1, l2 >= 2, and the plain progressions as the templates (d1, 1) with
+    l1 >= 1 (d2 = d1 and s2 = 0).
 
     Template (d2, l2, l1) has the spans s1 = (l1-1)*d1 and s2 = (l2-1)*d2,
     M = max and m = min of them, and m + n - M windows: window j reads the
@@ -490,10 +497,10 @@ def _pair_windows(n: int, d1: int, prog: tuple, low: tuple) -> np.ndarray:
     template, {j1*d1 + j2*d2 : j2 < l2}, meets the strip in one d2-progression
     cut at its top: a gather from ``prog`` (indexed by d2 and its first bit)
     ANDed with ``low`` (indexed by the bit above its last element)."""
-    d2 = np.repeat(np.arange(1, d1), n - 1)
-    s2 = np.tile(np.arange(1, n), d1 - 1) * d2
+    d2 = np.append(np.repeat(np.arange(1, d1), n - 1), d1)
+    s2 = np.append(np.tile(np.arange(1, n), d1 - 1), 0) * d2
     # spans must differ by at most n-1 for all four boundaries
-    l1_lo = np.maximum(2, (s2 - (n - 1) + d1 - 1) // d1 + 1)
+    l1_lo = np.maximum(1 + (s2 > 0), (s2 - (n - 1) + d1 - 1) // d1 + 1)
     l1_hi = np.minimum(n, (s2 + n - 1) // d1 + 1)
     count = np.maximum(l1_hi - l1_lo + 1, 0)
     k = np.repeat(np.arange(count.size), count)
@@ -526,10 +533,10 @@ def canonical_edge_masks(n: int) -> np.ndarray:
     an (m, 8) uint8 array sorted by the words' unsigned value.
     Deterministic for a given n.
 
-    The windows come in numpy batches, the plain progressions first and then
-    one batch per d1 (``_pair_windows``).  Many windows repeat an edge:
-    each batch is sorted and its repeats dropped, then merged into one
-    running sorted union of distinct words.
+    The windows come in numpy batches, one per d1 (``_pair_windows``, whose
+    templates include the plain progressions of difference d1).  Many
+    windows repeat an edge: each batch is sorted and its repeats dropped,
+    then merged into one running sorted union of distinct words.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -540,12 +547,10 @@ def canonical_edge_masks(n: int) -> np.ndarray:
     bits = np.arange(128)
     # prog[(d2-1)*n + s]: bits s, s + d2, s + 2*d2, ...; low[u]: bits below u
     start = np.arange(n)[None, :, None]
-    prog = _limbs((bits >= start) & ((bits - start) % np.arange(1, n)[:, None, None] == 0))
+    prog = _limbs((bits >= start) & ((bits - start) % np.arange(1, n + 1)[:, None, None] == 0))
     low = _limbs(bits < np.arange(2 * n)[:, None])
-    union = _progression_windows(n)
-    union.sort()
-    union = _sorted_distinct(union)
-    for d1 in range(2, n + 1):
+    union = np.empty(0, dtype=np.uint64)
+    for d1 in range(1, n + 1):
         words = _pair_windows(n, d1, prog, low)
         words.sort()
         union = np.concatenate([union, _sorted_distinct(words)])

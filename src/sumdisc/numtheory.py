@@ -14,7 +14,13 @@ residue bound.
 
 Proved facts are checked everywhere with ``check_invariant`` or by raising
 ``InternalInvariantViolation``; unlike ``assert``, both run under
-``python -O``.
+``python -O``.  They are one mechanism, one exception type, spelled two
+ways on purpose: ``check_invariant`` takes its message already built, so
+``certifier`` and ``family`` raise directly inside ``if not ...:`` and
+build their f-string messages only on failure.  In ``certify``, which
+runs once per alpha, its 16 checks written as ``check_invariant`` calls
+with the same f-strings cut the rate from 31-38k to 27-30k calls/s (the
+sweep's alpha recipe on one CPU of a 2-core host).
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import numpy as np
 
 from .family import FamilyE0
 from .hypergraph import (CapExceeded, Coloring, SumEdge, TranslatedEdgeValue,
-                         canonical_edge_masks, count_progressions,
+                         canonical_edge_masks, chain_suffix, count_progressions,
                          edge_elements_array, exact_correlation,
                          max_edge_imbalance, translate_values,
                          window_vertices, ENUMERATION_CAP)
@@ -130,12 +130,6 @@ def _chain_sums(values: np.ndarray, d1: int) -> np.ndarray:
     return p2.cumsum(axis=0, out=p2).ravel()
 
 
-def _chain_sums_transposed(values: np.ndarray, d1: int) -> np.ndarray:
-    """The transpose of ``_chain_sums``: suffix sums taken twice."""
-    r = values.reshape(-1, d1)[::-1].cumsum(axis=0)
-    return r.cumsum(axis=0, out=r)[::-1].ravel()
-
-
 class TwoNormEngine:
     """Per-edge sums ``S_E = sum over ordered element pairs (x, y) of
     A(|x - y|)`` of one family, for the autocorrelation A of any coloring.
@@ -202,12 +196,13 @@ class TwoNormEngine:
             w[starts] = l2
             self._pos[a:b], self._step[a:b], self._w[a:b] = pos, step, w
             self._groups.append((d1, lo, cells, a, b, ea, eb, starts))
-            # the three taps of each entry, then the suffix sums: coef[i]
-            # weighs A(|lo + i|), and is 0 where |lo + i| >= n
+            # the three taps of each entry, then the transpose of
+            # _chain_sums, chain suffix sums taken twice: coef[i] weighs
+            # A(|lo + i|), and is 0 where |lo + i| >= n
             taps = np.zeros(cells, dtype=np.int64)
             for at, tap in ((pos, w), (pos - step, -2 * w), (pos - 2 * step, w)):
                 np.add.at(taps, at, tap)
-            coef = _chain_sums_transposed(taps, d1)
+            coef = chain_suffix(chain_suffix(taps, d1, np.add), d1, np.add)
             neg = min(-lo, n - 1)
             self.fam_profile[:hi + 1] += coef[-lo:-lo + hi + 1]
             self.fam_profile[1:neg + 1] += coef[-lo - 1::-1][:neg]

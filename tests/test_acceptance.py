@@ -98,8 +98,11 @@ def test_c5_averaging_chain():
               f"min witness {min_wit} > sqrt(n)/1200 = {math.sqrt(n) / 1200:.3f}")
 
 
+# VmHWM, the peak RSS of the child's own address space: Linux carries the
+# forking process's high-water mark across exec into ru_maxrss, so under
+# the test runner ru_maxrss would read the runner's peak
 AVERAGING_2_17 = """
-import json, resource, sys, time
+import json, re, sys, time
 from sumdisc.family import FamilyConfig, build_family
 from sumdisc.hypergraph import Coloring
 from sumdisc.solver import TwoNormEngine
@@ -110,11 +113,15 @@ rows = []
 for name, chi in (("ones", Coloring.all_plus(n)), ("random0", Coloring.random(n, 0))):
     bound = engine.evaluate(chi)
     rows.append((name, bound.total, bound.witness_value))
-json.dump({"rows": rows, "seconds": time.perf_counter() - start,
-           "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}, sys.stdout)
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as f:
+    hwm_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB", f.read()).group(1))
+json.dump({"rows": rows, "seconds": seconds, "hwm_kb": hwm_kb}, sys.stdout)
 """
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
 def test_c5_averaging_chain_n131072():
     """Criterion 5 at N = 2^17, in bounded memory: family, engine and two
     colorings in a fresh process, under 30 s and 512 MB of peak RSS."""
@@ -129,7 +136,7 @@ def test_c5_averaging_chain_n131072():
     for name, total, witness in out["rows"]:
         assert 90000 * total >= n ** 3, name
         assert 1440000 * witness ** 2 > n, name
-    rss_mb = out["maxrss_kb"] / 1024
+    rss_mb = out["hwm_kb"] / 1024
     assert out["seconds"] < 30 and rss_mb < 512, out
     print(f"[criterion 5] PASS n={n}: {out['rows']} in {out['seconds']:.1f} s, "
           f"peak RSS {rss_mb:.0f} MB")

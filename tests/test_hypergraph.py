@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -18,8 +19,8 @@ from sumdisc.hypergraph import (CapExceeded, Coloring, SumEdge,
                                 canonical_edge_masks, color_value,
                                 count_progressions, edge_cardinality,
                                 edge_elements_array, exact_correlation,
-                                max_edge_imbalance, translate_values,
-                                window_vertices)
+                                max_edge_imbalance, staircase_split,
+                                translate_values, window_vertices)
 from sumdisc.family import FamilyConfig, build_family
 from sumdisc.solver import _pack, _packed_edges, _scan
 from sumdisc.numtheory import InternalInvariantViolation
@@ -82,7 +83,6 @@ class TestCardinality:
             assert e.collision_free == (oracle == e.l1 * e.l2)
 
     def test_hypothesis_implies_product(self):
-        import math
         rng = random.Random(77)
         done = 0
         while done < 2000:
@@ -92,6 +92,20 @@ class TestCardinality:
                 continue
             assert e.collision_free and edge_cardinality(e) == e.l1 * e.l2
             done += 1
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.builds(SumEdge, *[st.integers(1, 40)] * 4))
+    def test_staircase_split(self, e):
+        els = edge_elements_array(e)
+        assert edge_cardinality(e) == els.size
+        # l1 > d2/g, which every collision needs
+        if e.l1 * math.gcd(e.d1, e.d2) > e.d2:
+            pieces = staircase_split(e)
+            assert all(piece.collision_free for _, piece in pieces)
+            joined = np.concatenate([o + edge_elements_array(piece) for o, piece in pieces])
+            # as many elements as E has, and the same set: disjoint pieces
+            assert joined.size == els.size
+            assert np.array_equal(np.sort(joined), els)
 
 
 class TestColoring:
