@@ -1,4 +1,3 @@
-import cmath
 import hashlib
 import json
 import math
@@ -14,14 +13,8 @@ from sumdisc.certifier import (MIN_N, TOL_SCALE, BelowMinN, Certificate,
                                classify_case, select_delta1, sweep_alphas)
 from sumdisc.family import (FamilyConfig, build_family, build_m_set, kbar,
                             length1_at_scale, length2_at_scale)
-from sumdisc.hypergraph import SumEdge, edge_elements_array
 
-
-def direct_exp_sum(e: SumEdge, alpha: Fraction) -> complex:
-    """Independent reference: python-loop sum with exact phase reduction."""
-    p, q = alpha.numerator, alpha.denominator
-    return sum(cmath.exp(2j * cmath.pi * ((z * p) % q) / q)
-               for z in edge_elements_array(e).tolist())
+from exp_reference import direct_exp_sum
 
 
 class TestSelectDelta1:
