@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, NamedTuple
 
 from .hypergraph import SumEdge, edge_cardinality
@@ -54,6 +55,10 @@ class Provenance(NamedTuple):
     b: int
 
 
+# Cached, as are the two scale lengths: certify asks for them once per
+# alpha.  Per n the caches hold at most isqrt(n) ints for kbar and
+# kbar(n, 1) + 1 for each length.
+@cache
 def kbar(n: int, delta1: int) -> int:
     """Largest k >= 0 with 2^k * delta1 <= sqrt(n), exactly.
 
@@ -67,11 +72,13 @@ def kbar(n: int, delta1: int) -> int:
     return k
 
 
+@cache
 def length1_at_scale(n: int, k: int) -> int:
     """ceil(2^k * sqrt(n) / 12) computed exactly."""
     return (isqrt_ceil((4 ** k) * n) + 11) // 12
 
 
+@cache
 def length2_at_scale(n: int, k: int) -> int:
     """ceil(2^-k * sqrt(n) / 12) computed exactly."""
     step = 12 << k

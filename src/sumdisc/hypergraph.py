@@ -43,7 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,18 +57,27 @@ class CapExceeded(ValueError):
     """Raised when an exhaustive operation is asked to run beyond its cap."""
 
 
-@dataclass(frozen=True)
-class SumEdge:
-    """Sumset of two zero-based progressions, keyed by (d1, l1, d2, l2)."""
-
+class _EdgeKey(NamedTuple):
     d1: int
     l1: int
     d2: int
     l2: int
 
-    def __post_init__(self) -> None:
-        if min(self.d1, self.l1, self.d2, self.l2) < 1:
+
+class SumEdge(_EdgeKey):
+    """Sumset of two zero-based progressions, keyed by (d1, l1, d2, l2).
+
+    A named tuple: immutable, hashed and compared as the plain tuple
+    (d1, l1, d2, l2), and cheap to build, as the family build does once
+    per edge and ``certify`` once per alpha.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d1: int, l1: int, d2: int, l2: int) -> "SumEdge":
+        if d1 < 1 or l1 < 1 or d2 < 1 or l2 < 1:
             raise ValueError("differences and lengths must be positive")
+        return tuple.__new__(cls, (d1, l1, d2, l2))
 
     @property
     def span(self) -> int:

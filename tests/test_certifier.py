@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -182,6 +183,23 @@ class TestCertify:
         rec = certify(Fraction(1, 200), 10 ** 4).to_json_dict()
         assert rec["case"] == 3 and rec["delta2"] == 200
         assert rec["alpha"] == "1/200" and rec["d"] == "199/1"
+
+    def test_fields_are_read_only(self):
+        cert = certify(Fraction(1, 200), 10 ** 4)
+        with pytest.raises(AttributeError):
+            cert.measured = 0.0
+        with pytest.raises(AttributeError):
+            cert.extra = 1
+
+    @pytest.mark.parametrize("alpha, n", [(Fraction(0), 1200),
+                                          (Fraction(4, 27), 1024),
+                                          (Fraction(1, 200), 10 ** 4)])
+    def test_pickle_round_trip(self, alpha, n):
+        # one certificate per branch, so that a process pool can return them
+        cert = certify(alpha, n)
+        again = pickle.loads(pickle.dumps(cert))
+        assert again == cert and type(again) is Certificate
+        assert again.to_json_dict() == cert.to_json_dict()
 
 
 @st.composite

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -106,6 +107,40 @@ class TestCardinality:
             # as many elements as E has, and the same set: disjoint pieces
             assert joined.size == els.size
             assert np.array_equal(np.sort(joined), els)
+
+
+class TestSumEdgeValue:
+    """SumEdge is an immutable value: the family keeps edges in sets, a
+    process pool must be able to pickle them, and invariant messages embed
+    their repr."""
+
+    def test_fields_are_read_only(self):
+        e = SumEdge(2, 3, 3, 2)
+        with pytest.raises(AttributeError):
+            e.d1 = 5
+        with pytest.raises(AttributeError):
+            e.extra = 1
+        assert e == SumEdge(2, 3, 3, 2)
+
+    def test_pickle_round_trip(self):
+        e = SumEdge(30, 40, 12, 9)
+        again = pickle.loads(pickle.dumps(e))
+        assert again == e and type(again) is SumEdge
+        assert not again.collision_free and again.span == e.span
+
+    def test_equal_edges_hash_equal(self):
+        a, b = SumEdge(2, 3, 3, 2), SumEdge(d1=2, l1=3, d2=3, l2=2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, SumEdge(3, 2, 2, 3)}) == 2
+
+    def test_repr(self):
+        assert repr(SumEdge(2, 3, 3, 2)) == "SumEdge(d1=2, l1=3, d2=3, l2=2)"
+
+    @pytest.mark.parametrize("args", [(0, 1, 1, 1), (1, 0, 1, 1),
+                                      (1, 1, 0, 1), (1, 1, 1, -2)])
+    def test_positive_fields(self, args):
+        with pytest.raises(ValueError, match="must be positive"):
+            SumEdge(*args)
 
 
 class TestColoring:

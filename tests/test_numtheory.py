@@ -87,6 +87,21 @@ def prefix_minima(rows):
     return out
 
 
+def walk_hits(p, q):
+    """Every convergent of p/q that first_convergent returns, in order:
+    each call asks for an error below the last one's, so the walk stops at
+    the next convergent with a smaller error, down to the last (r == 0).
+    Each hit is checked against its definition by one direct product."""
+    hits = [first_convergent(p, q, q, lambda r: True)]
+    while hits[-1][2]:
+        last = hits[-1][2]
+        hits.append(first_convergent(p, q, q, lambda r: r < last))
+    for d, a, r in hits:
+        assert a == nearest_int(d * p, q)
+        assert r == abs(d * p - a * q)
+    return hits
+
+
 def scan_select_delta1(alpha, n, rows=None):
     """The linear scan select_delta1 replaced: d up to isqrt(n)."""
     p, q = alpha.numerator, alpha.denominator
@@ -122,6 +137,11 @@ class TestConvergentWalk:
                     [scan_dirichlet(alpha, k, rows) for k in lims]
                 assert [select_delta1(alpha, n) for n in ns] == \
                     [scan_select_delta1(alpha, n, rows) for n in ns]
+                # the walk's (d, a, r) against the scan's rows, whose a and
+                # r come from nearest_int and a product
+                hits = walk_hits(p, q)
+                assert hits == [scan_first(rows, q, lambda r, h=h: r < h[2])
+                                for h in [(0, 0, q)] + hits[:-1]]
 
     @settings(max_examples=200, deadline=None)
     @given(q=st.integers(min_value=1, max_value=10 ** 18),
@@ -133,6 +153,23 @@ class TestConvergentWalk:
         alpha = Fraction(p, q)
         assert select_delta1(alpha, n) == scan_select_delta1(alpha, n)
         assert dirichlet_approx(alpha, k) == scan_dirichlet(alpha, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.integers(min_value=1, max_value=10 ** 18), data=st.data())
+    def test_error_from_euclid_remainder(self, q, data):
+        # the r the walk reads off Euclid's remainders is |d*p - a*q| at
+        # the a it returns, and that a is nearest_int(d*p, q)
+        p = data.draw(st.integers(min_value=0, max_value=q - 1))
+        limit = data.draw(st.integers(min_value=1, max_value=q))
+        k = data.draw(st.integers(min_value=1, max_value=q))
+        hit = first_convergent(p, q, limit, lambda r: r * k < q)
+        if hit is not None:
+            d, a, r = hit
+            assert 1 <= d <= limit
+            assert a == nearest_int(d * p, q)
+            assert r == abs(d * p - a * q)
+            assert r * k < q
+        walk_hits(p, q)
 
     def test_no_pass_returns_none(self):
         # 1/3 within 1/100 needs d = 3 > limit 2
