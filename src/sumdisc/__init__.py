@@ -7,7 +7,7 @@ magnitude at least N/300, verifies the squared-imbalance averaging chain
 exact and heuristic discrepancies of the full hypergraph at small N.
 """
 
-from .certifier import Certificate, certify, classify_case, select_delta1
+from .certifier import Certificate, certify, select_delta1
 from .family import FamilyConfig, FamilyE0, build_family, build_m_set, family_stats
 from .fourier import indicator_fourier, parseval_check, sum_sq_disc
 from .hypergraph import Coloring, SumEdge, color_value, edge_cardinality
@@ -18,7 +18,7 @@ from .solver import (DiscReport, TwoNormBound, TwoNormEngine, exact_discrepancy,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate", "certify", "classify_case", "select_delta1",
+    "Certificate", "certify", "select_delta1",
     "FamilyConfig", "FamilyE0", "build_family", "build_m_set", "family_stats",
     "indicator_fourier", "parseval_check", "sum_sq_disc",
     "Coloring", "SumEdge", "color_value", "edge_cardinality",

@@ -100,8 +100,9 @@ def select_delta1(alpha: Fraction, n: int) -> tuple[int, int]:
     Existence follows from the pigeonhole bound |d*alpha - a| <= 1/(Q+1)
     with Q = floor(sqrt(n)), and Q+1 > sqrt(n).  The smallest such d is a
     convergent denominator of alpha, so the walk over convergents
-    (``first_convergent``) finds it.  Dividing out gcd(a, d) only shrinks
-    both the denominator and the error.
+    (``first_convergent``) finds it.  The pair is already reduced: a
+    convergent p_i/q_i is in lowest terms, and at d = 1 the numerator a is
+    0 or 1.
     """
     p, q = alpha.numerator, alpha.denominator
     if not 0 <= p < q:
@@ -113,18 +114,7 @@ def select_delta1(alpha: Fraction, n: int) -> tuple[int, int]:
         raise InternalInvariantViolation(
             "dirichlet-existence",
             f"no denominator <= sqrt({n}) approximates {alpha} within n**-0.5")
-    delta, a, _ = hit
-    g = math.gcd(a, delta)
-    return delta // g, a // g
-
-
-def classify_case(alpha: Fraction, delta1: int, a1: int, n: int) -> int:
-    """Branch tag from exact comparison of |alpha - a1/d1| against 1/n:
-    with E = |d1*p - a1*q| for alpha = p/q, the error is E/(q*d1)."""
-    p, q = alpha.numerator, alpha.denominator
-    if abs(delta1 * p - a1 * q) * n < q * delta1:
-        return 1 if delta1 <= 24 else 2
-    return 3
+    return hit[:2]
 
 
 def certify(alpha: Fraction, n: int) -> Certificate:
@@ -154,12 +144,11 @@ def certify(alpha: Fraction, n: int) -> Certificate:
         raise InternalInvariantViolation(
             "initial-approximation",
             f"err {e1}/{q * delta1} >= n**-0.5/{delta1}")
-    case = classify_case(alpha, delta1, a1, n)
 
-    if case == 1:
-        return _finish(alpha, n, case, delta1, a1, e1_edge(n, delta1), n / 288)
-
-    if case == 2:
+    # branches 1 and 2: |alpha - a1/d1| < 1/n  <=>  E * n < q * d1
+    if e1 * n < q * delta1:
+        if delta1 <= 24:
+            return _finish(alpha, n, 1, delta1, a1, e1_edge(n, delta1), n / 288)
         delta2, a2 = dirichlet_approx(alpha, delta1 - 1)
         if math.gcd(delta1, delta2) != 1:
             raise InternalInvariantViolation(
@@ -167,16 +156,12 @@ def certify(alpha: Fraction, n: int) -> Certificate:
         edge = e2_edge(n, delta1, delta2)
         _size_checks(edge, 150, n)
         _phase_budget_checks(p, q, e1, edge.l1, delta2, a2, edge.l2)
-        return _finish(alpha, n, case, delta1, a1, edge, n / 300,
+        return _finish(alpha, n, 2, delta1, a1, edge, n / 300,
                        delta2=delta2, a2=a2)
 
-    # case 3: approximation error at least 1/n selects a dyadic scale
-    if not e1 * n >= q * delta1:
-        raise InternalInvariantViolation("branch-threshold", "err < 1/n in branch 3")
-    k = 0
-    # increase k while err1 < 2**-(k+1) * n**-0.5 / d1, i.e. (E*2^(k+1))^2 * n < q^2
-    while (e1 << (k + 1)) ** 2 * n < qq:
-        k += 1
+    # case 3: approximation error at least 1/n selects a dyadic scale, the
+    # largest k with err1 < 2**-k * n**-0.5 / d1, i.e. 4^k * E^2 * n < q^2
+    k = (((qq - 1) // (e1 * e1 * n)).bit_length() - 1) // 2
     if k > kbar(n, delta1):
         raise InternalInvariantViolation(
             "scale-range", f"k={k} > kbar={kbar(n, delta1)}")

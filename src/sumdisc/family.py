@@ -14,8 +14,11 @@ The family splits into three parts:
   ceil(2^k sqrt(N) / 12) and ceil(2^-k sqrt(N) / 12).
 
 All interval endpoints involve sqrt(N), which is irrational for most N, so
-membership tests are carried out exactly by integer squaring.  Every edge
-in the family fits inside [0, N-1]; the total counts obey |e3| <= 6N and
+they are taken exactly as integer square roots: ``m_interval`` gives each
+scale's interval as its first and last integers (lo, hi), kbar is a bit
+length, and each M-set is a range of that interval's integers, from the
+first one congruent to b, in steps of 2^(2k)*d1.  Every edge in the family
+fits inside [0, N-1]; the total counts obey |e3| <= 6N and
 |e1| + |e2| + |e3| <= 7N.
 """
 
@@ -55,21 +58,20 @@ class Provenance(NamedTuple):
     b: int
 
 
-# Cached, as are the two scale lengths: certify asks for them once per
-# alpha.  Per n the caches hold at most isqrt(n) ints for kbar and
-# kbar(n, 1) + 1 for each length.
+# Cached, as are the two scale lengths and the scale intervals: certify
+# asks for them once per alpha.  Per n the caches hold at most isqrt(n)
+# ints for kbar, isqrt(n) * (kbar(n, 1) + 1) pairs for m_interval and
+# kbar(n, 1) + 1 ints for each length.
 @cache
 def kbar(n: int, delta1: int) -> int:
-    """Largest k >= 0 with 2^k * delta1 <= sqrt(n), exactly.
+    """Largest k >= 0 with 2^k * delta1 <= sqrt(n), exactly: the largest
+    k with 2^k <= isqrt(n) // delta1.
 
     Requires delta1 <= sqrt(n) so that k = 0 qualifies.
     """
     if delta1 < 1 or delta1 * delta1 > n:
         raise ValueError(f"delta1={delta1} exceeds sqrt({n})")
-    k = 0
-    while ((delta1 << (k + 1)) ** 2) <= n:
-        k += 1
-    return k
+    return (math.isqrt(n) // delta1).bit_length() - 1
 
 
 @cache
@@ -85,21 +87,29 @@ def length2_at_scale(n: int, k: int) -> int:
     return (isqrt_ceil(n) + step - 1) // step
 
 
+@cache
+def m_interval(n: int, delta1: int, k: int) -> tuple[int, int]:
+    """The integers of the open interval
+    (2^k sqrt(n), 2^(k+1) sqrt(n) + 4^k delta1) as their endpoints (lo, hi):
+    lo is the least integer above 2^k sqrt(n), and hi - 4^k delta1 the
+    greatest integer below 2^(k+1) sqrt(n)."""
+    return (math.isqrt((4 ** k) * n) + 1,
+            (4 ** k) * delta1 + math.isqrt((4 ** (k + 1)) * n - 1))
+
+
 def in_m_interval(n: int, delta1: int, k: int, d2: int) -> bool:
     """Exact test for d2 in the open interval
     (2^k sqrt(n), 2^(k+1) sqrt(n) + 2^(2k) delta1)."""
-    if d2 * d2 <= (4 ** k) * n:
-        return False
-    rest = d2 - (4 ** k) * delta1
-    return rest <= 0 or rest * rest < (4 ** (k + 1)) * n
+    lo, hi = m_interval(n, delta1, k)
+    return lo <= d2 <= hi
 
 
 def build_m_set(n: int, delta1: int, b: int, k: int) -> tuple[int, ...]:
     """The second differences congruent to b mod 2^(2k)*delta1 inside the
-    open dyadic interval at scale k, in increasing order.
+    open dyadic interval at scale k, in increasing order: a range of
+    ``m_interval``'s integers with step 2^(2k)*delta1.
 
-    Consecutive members differ by exactly 2^(2k)*delta1; the member count
-    never exceeds 3 * 2^-k * sqrt(n) / delta1.
+    The member count never exceeds 3 * 2^-k * sqrt(n) / delta1.
     """
     if delta1 < 1 or delta1 * delta1 > n:
         raise ValueError(f"delta1={delta1} exceeds sqrt({n})")
@@ -108,16 +118,8 @@ def build_m_set(n: int, delta1: int, b: int, k: int) -> tuple[int, ...]:
     if k < 0 or k > kbar(n, delta1):
         raise BadK(f"k={k} outside [0, {kbar(n, delta1)}] for delta1={delta1}")
     step = (4 ** k) * delta1
-    lo = math.isqrt((4 ** k) * n) + 1  # smallest integer > 2^k sqrt(n)
-    first = lo + ((b - lo) % step)
-    members = []
-    d2 = first
-    while True:
-        rest = d2 - step
-        if rest > 0 and rest * rest >= (4 ** (k + 1)) * n:
-            break
-        members.append(d2)
-        d2 += step
+    lo, hi = m_interval(n, delta1, k)
+    members = range(lo + (b - lo) % step, hi + 1, step)
     count = len(members)
     # count <= 3 * 2^-k sqrt(n) / delta1, checked by squaring
     if (count * (1 << k) * delta1) ** 2 > 9 * n:

@@ -18,10 +18,11 @@ Proved facts are checked everywhere with ``check_invariant`` or by raising
 ways on purpose: ``check_invariant`` takes its message already built, so
 ``certifier`` and ``family`` raise directly inside ``if not ...:`` and
 build their f-string messages only on failure.  In ``certify``, which
-runs once per alpha, its 16 checks written as ``check_invariant`` calls
-with the same f-strings cut the rate from 78-81k to 53-59k calls/s (the
-sweep's alpha recipe at n = 4096 and 2^18, the two spellings alternating
-in one process on one CPU of a 2-core host, best of 9 passes each).
+runs once per alpha, its checks (16 at the time) written as
+``check_invariant`` calls with the same f-strings cut the rate from
+78-81k to 53-59k calls/s (the sweep's alpha recipe at n = 4096 and 2^18,
+the two spellings alternating in one process on one CPU of a 2-core
+host, best of 9 passes each).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import compress
 from typing import Callable
 
 
@@ -148,19 +148,7 @@ def totatives(delta: int) -> list[int]:
     """All b in [1, delta] with gcd(b, delta) == 1, in increasing order.
 
     For delta == 1 this is [1].  The length is Euler's phi of delta.
-    Sieves out the multiples of each prime factor of delta.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    keep = bytearray(b"\x01") * (delta + 1)
-    keep[0] = 0
-    rest, f = delta, 2
-    while rest > 1:
-        if f * f > rest:
-            f = rest                   # what is left is prime
-        if rest % f == 0:
-            keep[f::f] = bytes(delta // f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    return list(compress(range(delta + 1), keep))
+    return [b for b in range(1, delta + 1) if math.gcd(b, delta) == 1]

@@ -171,31 +171,28 @@ class TwoNormEngine:
         counts = np.array([part.size for part in lags[1:]], dtype=np.int64)
         self.lags, self.weights = np.concatenate(lags), np.concatenate(weights)
         self.seg_starts = np.cumsum(counts) - counts
-        sizes[self._colliding] = self.weights[self.seg_starts]
+        coll_sizes = sizes[self._colliding] = self.weights[self.seg_starts]
 
-        # the collision-free edges in order of d1, their entries edge by edge
-        self._free = np.flatnonzero(free)[np.argsort(shape[free, 0], kind="stable")]
-        d1s, l1s, d2s, l2s = shape[self._free].T
-        ends = np.cumsum(l2s)
-        self._pos = np.empty(int(l2s.sum()), dtype=np.intp)
-        self._step, self._w = np.empty((2, self._pos.size), dtype=np.int32)
-        # per d1: (d1, lo, P2 cells, entry slice, edge slice, entry starts)
+        # per d1: (d1, lo, P2 cells, its collision-free edges, their entry
+        # starts, and the entries' pos, step and w), edge by edge
         self._groups = []
-        firsts = np.unique(d1s, return_index=True)[1].tolist()
-        for ea, eb in zip(firsts, [*firsts[1:], len(d1s)]):
-            d1, l1, d2, l2 = int(d1s[ea]), l1s[ea:eb], d2s[ea:eb], l2s[ea:eb]
+        by_d1 = np.flatnonzero(free)[np.argsort(shape[free, 0], kind="stable")]
+        # split at each group's first edge; the piece before it is empty
+        firsts = np.unique(shape[by_d1, 0], return_index=True)[1]
+        for edges in np.split(by_d1, firsts)[1:]:
+            d1s, l1, d2, l2 = shape[edges].T
+            d1 = int(d1s[0])
             lo = -int((l1 + 1).max()) * d1
             hi = int(((l1 - 1) * d1 + (l2 - 1) * d2).max())
             cells = -(-(hi - lo + 1) // d1) * d1
-            a, b = int(ends[ea] - l2s[ea]), int(ends[eb - 1])
             starts = np.cumsum(l2) - l2
-            k = np.repeat(np.arange(eb - ea), l2)
-            s2 = np.arange(b - a) - starts[k]
+            k = np.repeat(np.arange(edges.size), l2)
+            s2 = np.arange(k.size) - starts[k]
             pos, step = s2 * d2[k] + ((l1 - 1) * d1 - lo)[k], (l1 * d1)[k]
             w = 2 * (l2[k] - s2)
             w[starts] = l2
-            self._pos[a:b], self._step[a:b], self._w[a:b] = pos, step, w
-            self._groups.append((d1, lo, cells, a, b, ea, eb, starts))
+            self._groups.append((d1, lo, cells, edges, starts, pos.astype(np.intp),
+                                 step.astype(np.int32), w.astype(np.int32)))
             # the three taps of each entry, then the transpose of
             # _chain_sums, chain suffix sums taken twice: coef[i] weighs
             # A(|lo + i|), and is 0 where |lo + i| >= n
@@ -208,10 +205,9 @@ class TwoNormEngine:
             self.fam_profile[1:neg + 1] += coef[-lo - 1::-1][:neg]
         # A extended to the positions +-(n-1+2*d1), which hold every P2
         # (lo >= -(n-1+2*d1), as (l1-1)*d1 <= n-1), 0 past +-(n-1)
-        self._pad = n - 1 + 2 * int(d1s.max(initial=0))
+        self._pad = n - 1 + 2 * int(shape[free, 0].max(initial=0))
 
         # each edge's weights count every ordered pair of its elements once
-        coll_sizes = self.weights[self.seg_starts]
         coll_pairs, mass = int(np.dot(coll_sizes, coll_sizes)), int(self.weights.sum())
         pairs, profile_mass = int(np.dot(sizes, sizes)), int(self.fam_profile.sum())
         check_invariant(bool(np.all(self.lags[self.seg_starts] == 0))
@@ -233,18 +229,15 @@ class TwoNormEngine:
         sym[pad:pad + n] = autocorr
         sym[pad - n + 1:pad + 1] = autocorr[::-1]
         sums = np.empty(self.n_edges, dtype=np.int64)
-        free = np.empty(self._free.size, dtype=np.int64)
-        for d1, lo, cells, a, b, ea, eb, starts in self._groups:
+        for d1, lo, cells, edges, starts, pos, step, w in self._groups:
             p2 = _chain_sums(sym[pad + lo:pad + lo + cells], d1)
-            pos, step = self._pos[a:b], self._step[a:b]
             t = p2[pos]
             pos = pos - step
             t -= 2 * p2[pos]
             pos -= step
             t += p2[pos]
-            t *= self._w[a:b]
-            np.add.reduceat(t, starts, out=free[ea:eb])
-        sums[self._free] = free
+            t *= w
+            sums[edges] = np.add.reduceat(t, starts)
         sums[self._colliding] = np.add.reduceat(self.weights * autocorr[self.lags],
                                                 self.seg_starts)
         return sums

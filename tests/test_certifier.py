@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sumdisc.certifier import (MIN_N, TOL_SCALE, BelowMinN, Certificate,
                                InternalInvariantViolation, certify,
-                               classify_case, select_delta1, sweep_alphas)
+                               select_delta1, sweep_alphas)
 from sumdisc.family import (FamilyConfig, build_family, build_m_set, kbar,
                             length1_at_scale, length2_at_scale)
 
@@ -56,21 +56,21 @@ class TestSelectDelta1:
 
 
 class TestClassify:
+    # the branch certify decides from |alpha - a1/d1| against 1/n
     def test_zero_is_case1(self):
-        assert classify_case(Fraction(0), 1, 0, 1024) == 1
+        assert certify(Fraction(0), 1024).case_tag == 1
 
     def test_exact_fraction_mid_denominator_is_case2(self):
         n = 1024
         alpha = Fraction(4, 27)  # denominator in [25, 32], coprime
-        d1, a1 = select_delta1(alpha, n)
-        assert (d1, a1) == (27, 4)
-        assert classify_case(alpha, d1, a1, n) == 2
+        assert select_delta1(alpha, n) == (27, 4)
+        assert certify(alpha, n).case_tag == 2
 
     def test_far_point_is_case3(self):
         n = 10 ** 4
         alpha = Fraction(5, 1000)
-        d1, a1 = select_delta1(alpha, n)
-        assert classify_case(alpha, d1, a1, n) == 3
+        assert select_delta1(alpha, n) == (1, 0)
+        assert certify(alpha, n).case_tag == 3
 
 
 def sub_families(fam) -> dict[str, set]:
@@ -247,6 +247,12 @@ def test_certify_property(case):
         four_k = 4 ** cert.k
         shell = err * d1 * 2 ** cert.k
         assert (2 * shell) ** 2 * n >= 1 and shell ** 2 * n < 1
+        # the doubling loop certify's scale replaced
+        q = alpha.denominator
+        e1, k = abs(d1 * alpha.numerator - a1 * q), 0
+        while (e1 << (k + 1)) ** 2 * n < q * q:
+            k += 1
+        assert cert.k == k
         assert cert.d == 1 / (err * four_k * d1 ** 2) - Fraction(cert.b, four_k * d1)
         assert cert.delta2 == cert.b + math.ceil(cert.d) * four_k * d1
 

@@ -1,13 +1,62 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumdisc import family
 from sumdisc.family import (BadK, FamilyConfig, build_family,
                             build_m_set, family_stats, in_m_interval, kbar,
-                            length1_at_scale, length2_at_scale)
+                            length1_at_scale, length2_at_scale, m_interval)
 from sumdisc.hypergraph import SumEdge, edge_cardinality
 from sumdisc.numtheory import InternalInvariantViolation, totatives
+
+
+def kbar_loop(n, d1):
+    """The doubling loop kbar replaced."""
+    k = 0
+    while ((d1 << (k + 1)) ** 2) <= n:
+        k += 1
+    return k
+
+
+def in_interval_by_squaring(n, d1, k, d2):
+    """The squaring test in_m_interval replaced."""
+    if d2 * d2 <= (4 ** k) * n:
+        return False
+    rest = d2 - (4 ** k) * d1
+    return rest <= 0 or rest * rest < (4 ** (k + 1)) * n
+
+
+def m_set_loop(n, d1, b, k):
+    """The member-by-member walk build_m_set replaced."""
+    step = (4 ** k) * d1
+    lo = math.isqrt((4 ** k) * n) + 1
+    members = []
+    d2 = lo + ((b - lo) % step)
+    while True:
+        rest = d2 - step
+        if rest > 0 and rest * rest >= (4 ** (k + 1)) * n:
+            break
+        members.append(d2)
+        d2 += step
+    return tuple(members)
+
+
+@st.composite
+def scale_case(draw, max_n):
+    """(n, d1, k) with n <= max_n, d1 <= sqrt(n), k <= kbar(n, d1); n is
+    drawn uniformly or next to a square (2^j * d)^2, where kbar steps."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=max_n))
+    else:
+        d = draw(st.integers(min_value=1, max_value=math.isqrt(max_n)))
+        top = ((max_n // (d * d)).bit_length() - 1) // 2  # 4^top * d^2 <= max_n
+        j = draw(st.integers(min_value=0, max_value=top))
+        n = min(max_n, max(1, (d << j) ** 2 + draw(st.integers(-1, 1))))
+    d1 = draw(st.integers(min_value=1, max_value=math.isqrt(n)))
+    k = draw(st.integers(min_value=0, max_value=kbar_loop(n, d1)))
+    return n, d1, k
 
 
 class TestMSet:
@@ -18,6 +67,20 @@ class TestMSet:
     def test_congruence_class(self):
         # d1=10, k=0, n=100: integers = 1 mod 10 in (10, 30)
         assert build_m_set(100, 10, 1, 0) == (11, 21)
+
+    def test_members_match_loop_exhaustive(self):
+        for n in range(1, 400):
+            for d1 in range(1, math.isqrt(n) + 1):
+                for k in range(kbar(n, d1) + 1):
+                    for b in totatives(d1):
+                        assert build_m_set(n, d1, b, k) == m_set_loop(n, d1, b, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scale_case(2 ** 24), data=st.data())
+    def test_members_match_loop(self, case, data):
+        n, d1, k = case
+        b = data.draw(st.sampled_from(totatives(d1)))
+        assert build_m_set(n, d1, b, k) == m_set_loop(n, d1, b, k)
 
     def test_members_match_interval_scan(self):
         # oracle: scan every integer and test congruence + open interval
@@ -65,6 +128,24 @@ class TestScales:
             for d1 in range(1, math.isqrt(n) + 1):
                 k = kbar(n, d1)
                 assert (2 ** k * d1) ** 2 <= n < (2 ** (k + 1) * d1) ** 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scale_case(2 ** 62))
+    def test_kbar_matches_doubling_loop(self, case):
+        n, d1, _ = case
+        k = kbar(n, d1)
+        assert (2 ** k * d1) ** 2 <= n < (2 ** (k + 1) * d1) ** 2
+        assert k == kbar_loop(n, d1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=scale_case(2 ** 62))
+    def test_interval_ends_match_squaring(self, case):
+        # lo and hi are the first and last integers in the interval
+        n, d1, k = case
+        lo, hi = m_interval(n, d1, k)
+        for d2, inside in ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False)):
+            assert in_m_interval(n, d1, k, d2) == inside
+            assert in_interval_by_squaring(n, d1, k, d2) == inside
 
     def test_lengths_match_float_ceil(self):
         # safe float cross-check away from representability issues

@@ -135,8 +135,10 @@ class TestConvergentWalk:
                 ns = [n for lim in lims for n in (lim * lim, (lim + 1) ** 2 - 1)]
                 assert [dirichlet_approx(alpha, k) for k in lims] == \
                     [scan_dirichlet(alpha, k, rows) for k in lims]
-                assert [select_delta1(alpha, n) for n in ns] == \
-                    [scan_select_delta1(alpha, n, rows) for n in ns]
+                got = [select_delta1(alpha, n) for n in ns]
+                assert got == [scan_select_delta1(alpha, n, rows) for n in ns]
+                # reduced without a gcd division
+                assert all(math.gcd(d1, a1) == 1 for d1, a1 in got)
                 # the walk's (d, a, r) against the scan's rows, whose a and
                 # r come from nearest_int and a product
                 hits = walk_hits(p, q)
@@ -189,13 +191,25 @@ class TestTotatives:
     def test_examples(self, delta, expected):
         assert totatives(delta) == expected
 
-    def test_against_gcd_filter(self):
-        import numpy as np
-        for delta in range(1, 10 ** 4 + 1):
+    def test_against_euler_phi(self):
+        # every d1 <= isqrt(n) for n <= 2^22: increasing members of
+        # [1, delta], each coprime to delta, as many as Euler's phi from a
+        # trial-division factorisation says there are
+        for delta in range(1, 2049):
+            phi, rest, f = delta, delta, 2
+            while f * f <= rest:
+                if rest % f == 0:
+                    phi -= phi // f
+                    while rest % f == 0:
+                        rest //= f
+                f += 1
+            if rest > 1:
+                phi -= phi // rest
             got = totatives(delta)
-            b = np.arange(1, delta + 1)
-            expected = b[np.gcd(b, delta) == 1].tolist()
-            assert got == expected
+            assert len(got) == phi
+            assert 1 <= got[0] and got[-1] <= delta
+            assert all(u < v for u, v in zip(got, got[1:]))
+            assert all(math.gcd(b, delta) == 1 for b in got)
 
 
 class TestHelpers:
