@@ -8,7 +8,7 @@ exact and heuristic discrepancies of the full hypergraph at small N.
 """
 
 from .certifier import Certificate, certify, select_delta1
-from .family import FamilyConfig, FamilyE0, build_family, build_m_set, family_stats
+from .family import FamilyConfig, FamilyE0, build_family, family_stats
 from .fourier import indicator_fourier, parseval_check, sum_sq_disc
 from .hypergraph import Coloring, SumEdge, color_value, edge_cardinality
 from .numtheory import dirichlet_approx, totatives
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificate", "certify", "select_delta1",
-    "FamilyConfig", "FamilyE0", "build_family", "build_m_set", "family_stats",
+    "FamilyConfig", "FamilyE0", "build_family", "family_stats",
     "indicator_fourier", "parseval_check", "sum_sq_disc",
     "Coloring", "SumEdge", "color_value", "edge_cardinality",
     "dirichlet_approx", "totatives",

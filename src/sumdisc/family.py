@@ -16,10 +16,12 @@ The family splits into three parts:
 All interval endpoints involve sqrt(N), which is irrational for most N, so
 they are taken exactly as integer square roots: ``m_interval`` gives each
 scale's interval as its first and last integers (lo, hi), kbar is a bit
-length, and each M-set is a range of that interval's integers, from the
-first one congruent to b, in steps of 2^(2k)*d1.  Every edge in the family
-fits inside [0, N-1]; the total counts obey |e3| <= 6N and
-|e1| + |e2| + |e3| <= 7N.
+length, and ``m_sets`` gives a scale's M-sets as (b, d2) columns, each
+class from its first integer congruent to b in steps of 2^(2k)*d1.  The
+family is one int64 table of rows (d1, l1, d2, l2) built in numpy
+(``FamilyE0``), and ``FamilyE0.edge(i)`` is where a row becomes a
+``SumEdge``.  Every edge fits inside [0, N-1]; the total counts obey
+|e3| <= 6N and |e1| + |e2| + |e3| <= 7N.
 """
 
 from __future__ import annotations
@@ -28,19 +30,17 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .hypergraph import SumEdge, edge_cardinality
+import numpy as np
+
+from .hypergraph import SumEdge, collision_free, edge_cardinality, group_index
 from .numtheory import (InternalInvariantViolation, check_invariant,
                         isqrt_ceil, totatives)
 
 # Below this N the count bounds are meaningless (e1 alone has 24 edges) and
 # the family is only useful for exercising degenerate-input handling.
 COUNT_CHECK_MIN_N = 25
-
-
-class BadK(ValueError):
-    """Raised when a dyadic scale k exceeds kbar for the given difference."""
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,6 @@ class FamilyConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-
-
-class Provenance(NamedTuple):
-    delta1: int
-    k: int
-    b: int
 
 
 # Cached, as are the two scale lengths and the scale intervals: certify
@@ -104,64 +98,70 @@ def in_m_interval(n: int, delta1: int, k: int, d2: int) -> bool:
     return lo <= d2 <= hi
 
 
-def build_m_set(n: int, delta1: int, b: int, k: int) -> tuple[int, ...]:
-    """The second differences congruent to b mod 2^(2k)*delta1 inside the
-    open dyadic interval at scale k, in increasing order: a range of
-    ``m_interval``'s integers with step 2^(2k)*delta1.
+def m_sets(n: int, delta1: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The M-sets at scale k as two int64 columns (b, d2): for each totative
+    b of delta1 in increasing order, the second differences congruent to b
+    mod 2^(2k)*delta1 in ``m_interval``, in increasing order.
 
-    The member count never exceeds 3 * 2^-k * sqrt(n) / delta1.
+    Each class has at most 3 * 2^-k * sqrt(n) / delta1 members.
     """
-    if delta1 < 1 or delta1 * delta1 > n:
-        raise ValueError(f"delta1={delta1} exceeds sqrt({n})")
-    if b < 1 or b > delta1 or math.gcd(b, delta1) != 1:
-        raise ValueError(f"b={b} is not a totative of {delta1}")
-    if k < 0 or k > kbar(n, delta1):
-        raise BadK(f"k={k} outside [0, {kbar(n, delta1)}] for delta1={delta1}")
+    if not 0 <= k <= kbar(n, delta1):
+        raise ValueError(f"k={k} outside [0, {kbar(n, delta1)}] for delta1={delta1}")
     step = (4 ** k) * delta1
     lo, hi = m_interval(n, delta1, k)
-    members = range(lo + (b - lo) % step, hi + 1, step)
-    count = len(members)
+    tot = np.array(totatives(delta1), dtype=np.int64)
+    first = lo + (tot - lo) % step
+    count = (hi - first) // step + 1
     # count <= 3 * 2^-k sqrt(n) / delta1, checked by squaring
-    if (count * (1 << k) * delta1) ** 2 > 9 * n:
+    bad = np.flatnonzero((count * (delta1 << k)) ** 2 > 9 * n)
+    if bad.size:
         raise InternalInvariantViolation(
             "m-set-size",
-            f"M({b},{k}) for delta1={delta1}, n={n} has {count} members, "
-            "more than 3*2^-k*sqrt(n)/delta1")
-    return tuple(members)
+            f"M({tot[bad[0]]},{k}) for delta1={delta1}, n={n} has {count[bad[0]]} "
+            "members, more than 3*2^-k*sqrt(n)/delta1")
+    return np.repeat(tot, count), np.repeat(first, count) + group_index(count) * step
 
 
 @dataclass(eq=False)
 class FamilyE0:
-    """The built family; treat as immutable after construction."""
+    """The built family as one read-only (m, 4) int64 table ``edges`` of
+    rows (d1, l1, d2, l2): the e1 rows, then e2, then e3 by (d1, k, b, d2);
+    ``k`` and ``b`` are the e3 rows' scale and congruence class."""
 
     n: int
-    e1: list[SumEdge]
-    e2: list[SumEdge]
-    e3: list[tuple[SumEdge, Provenance]]
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (len(self.e1), len(self.e2), len(self.e3))
+    counts: tuple[int, int, int]
+    edges: np.ndarray
+    k: np.ndarray
+    b: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.e1) + len(self.e2) + len(self.e3)
+        return len(self.edges)
 
-    def all_edges(self) -> Iterator[SumEdge]:
-        yield from self.e1
-        yield from self.e2
-        for edge, _ in self.e3:
-            yield edge
+    def edge(self, i: int) -> SumEdge:
+        """Row i as a ``SumEdge`` of Python ints."""
+        return SumEdge(*self.edges[i].tolist())
+
+
+def _e1_shape(n, d1):
+    """(d1, l1, d2, l2) of the e1 edge of difference d1, one progression of
+    length ceil(n/(6*d1)), for an int or an int64 array d1."""
+    return d1, (n + 6 * d1 - 1) // (6 * d1), 1, 1
+
+
+def _e2_shape(n, d1, d2):
+    """(d1, l1, d2, l2) of the e2 edge (d1, d2), lengths ceil(n/(12*d1))
+    and ceil((d1-1)/12), for ints or int64 arrays."""
+    return d1, (n + 12 * d1 - 1) // (12 * d1), d2, (d1 + 10) // 12
 
 
 def e1_edge(n: int, d1: int) -> SumEdge:
-    """The e1 edge of difference d1, one progression of length ceil(n/(6*d1))."""
-    return SumEdge(d1=d1, l1=(n + 6 * d1 - 1) // (6 * d1), d2=1, l2=1)
+    """The e1 edge of difference d1."""
+    return SumEdge(*_e1_shape(n, d1))
 
 
 def e2_edge(n: int, d1: int, d2: int) -> SumEdge:
-    """The e2 edge (d1, d2), lengths ceil(n/(12*d1)) and ceil((d1-1)/12)."""
-    return SumEdge(d1=d1, l1=(n + 12 * d1 - 1) // (12 * d1), d2=d2,
-                   l2=(d1 - 1 + 11) // 12)
+    """The e2 edge (d1, d2)."""
+    return SumEdge(*_e2_shape(n, d1, d2))
 
 
 def e3_edge(n: int, d1: int, k: int, d2: int) -> SumEdge:
@@ -170,50 +170,49 @@ def e3_edge(n: int, d1: int, k: int, d2: int) -> SumEdge:
                    l2=length2_at_scale(n, k))
 
 
-def _e1_edges(n: int) -> list[SumEdge]:
-    return [e1_edge(n, d1) for d1 in range(1, 25)]
-
-
-def _e2_edges(n: int) -> list[SumEdge]:
-    return [e2_edge(n, d1, d2)
-            for d1 in range(25, math.isqrt(n) + 1) for d2 in range(1, d1)]
-
-
-def _e3_edges(n: int) -> list[tuple[SumEdge, Provenance]]:
-    out = []
-    for d1 in range(1, math.isqrt(n) + 1):
-        for k in range(0, kbar(n, d1) + 1):
-            for b in totatives(d1):
-                for d2 in build_m_set(n, d1, b, k):
-                    out.append((e3_edge(n, d1, k, d2),
-                                Provenance(delta1=d1, k=k, b=b)))
-    return out
-
-
 def build_family(cfg: FamilyConfig) -> FamilyE0:
     """Construct the full family and validate its containment and counts.
 
     Every edge must fit in [0, n-1] at every n; each sub-family spans less
     than about n/3, so a violation is a construction bug.  The count bounds
-    |e3| <= 6n and |e1|+|e2|+|e3| <= 7n are checked for n >= 25 (below that
-    even the 24 fixed e1 records exceed n).
+    |e1|+|e2|+|e3| <= 7n, |e3| <= 6n and |e1|+|e2| < n are checked for
+    n >= 25 (below that even the 24 fixed e1 records exceed n).
     """
-    n = cfg.n
-    e1 = _e1_edges(n)
-    e2 = _e2_edges(n)
-    e3 = _e3_edges(n)
-    widest = max((*e1, *e2, *(e for e, _ in e3)), key=lambda e: e.span)
-    check_invariant(widest.span <= n - 1, "containment",
-                    f"edge {widest} spans {widest.span} > {n - 1} at n={n}")
+    n, r = cfg.n, math.isqrt(cfg.n)
+    e1 = np.broadcast_arrays(*_e1_shape(n, np.arange(1, 25, dtype=np.int64)))
+    # e2: each d1 in [25, r] with every d2 in [1, d1 - 1]
+    per_d1 = np.arange(24, r, dtype=np.int64)
+    e2 = _e2_shape(n, np.repeat(per_d1 + 1, per_d1), group_index(per_d1) + 1)
+    # e3: the M-sets of each (d1, k) in turn
+    keys, classes = [], []
+    for delta1 in range(1, r + 1):
+        for k in range(kbar(n, delta1) + 1):
+            classes.append(m_sets(n, delta1, k))
+            keys.append((delta1, k, classes[-1][0].size))
+    b, d2 = (np.concatenate(col) for col in zip(*classes))
+    d1, k, size = np.array(keys, dtype=np.int64).T
+    d1, k = np.repeat(d1, size), np.repeat(k, size)
+    l1 = np.array([length1_at_scale(n, s) for s in range(kbar(n, 1) + 1)])
+    l2 = np.array([length2_at_scale(n, s) for s in range(kbar(n, 1) + 1)])
+    e3 = (d1, l1[k], d2, l2[k])
+    fam = FamilyE0(n=n, counts=(len(e1[0]), len(e2[0]), len(k)), k=k, b=b,
+                   edges=np.stack([np.concatenate(c) for c in zip(e1, e2, e3)], axis=1))
+    for col in (fam.edges, fam.k, fam.b):
+        col.flags.writeable = False
 
+    d1, l1, d2, l2 = fam.edges.T
+    span = (l1 - 1) * d1 + (l2 - 1) * d2
+    i = int(np.argmax(span))
+    check_invariant(span[i] <= n - 1, "containment",
+                    f"edge {fam.edge(i)} spans {span[i]} > {n - 1} at n={n}")
+    c1, c2, c3 = fam.counts
     if n >= COUNT_CHECK_MIN_N:
-        check_invariant(len(e3) <= 6 * n, "count-e3",
-                        f"|e3|={len(e3)} > 6n at n={n}")
-        check_invariant(len(e1) + len(e2) < n, "count-e1-e2",
-                        f"|e1|+|e2|={len(e1) + len(e2)} >= n at n={n}")
-        check_invariant(len(e1) + len(e2) + len(e3) <= 7 * n, "count-total",
-                        f"family size {len(e1) + len(e2) + len(e3)} > 7n at n={n}")
-    return FamilyE0(n=n, e1=e1, e2=e2, e3=e3)
+        check_invariant(c1 + c2 + c3 <= 7 * n, "count-total",
+                        f"family size {c1 + c2 + c3} > 7n at n={n}")
+        check_invariant(c3 <= 6 * n, "count-e3", f"|e3|={c3} > 6n at n={n}")
+        check_invariant(c1 + c2 < n, "count-e1-e2",
+                        f"|e1|+|e2|={c1 + c2} >= n at n={n}")
+    return fam
 
 
 @dataclass(frozen=True)
@@ -235,45 +234,43 @@ def family_stats(f: FamilyE0) -> FamilyStats:
     elements and e3 edges at least n/144; both bounds are re-checked here
     with integer arithmetic.
     """
-    max_el = max((e.span for e in f.all_edges()), default=0)
-    min_e2: int | None = None
-    for e in f.e2:
-        size = edge_cardinality(e)
-        if e.collision_free and 150 * size < f.n:
-            raise InternalInvariantViolation(
-                "e2-size", f"e2 edge {e} has {size} < n/150 elements")
-        min_e2 = size if min_e2 is None else min(min_e2, size)
-    min_e3: int | None = None
-    for e, _ in f.e3:
-        if not e.collision_free:
-            raise InternalInvariantViolation(
-                "e3-injective", f"e3 edge {e} has colliding lattice points")
-        size = e.l1 * e.l2
-        if 144 * size < f.n:
-            raise InternalInvariantViolation(
-                "e3-size", f"e3 edge {e} has {size} < n/144 elements")
-        min_e3 = size if min_e3 is None else min(min_e3, size)
-    return FamilyStats(
-        n=f.n,
-        count_e1=len(f.e1),
-        count_e2=len(f.e2),
-        count_e3=len(f.e3),
-        total=len(f),
-        max_element=max_el,
-        min_size_e2=min_e2,
-        min_size_e3=min_e3,
-    )
+    n, (c1, c2, c3) = f.n, f.counts
+    d1, l1, d2, l2 = f.edges.T
+    free = collision_free(d1, l1, d2, l2, np.gcd)
+    size = l1 * l2
+    for i in np.flatnonzero(~free).tolist():
+        size[i] = edge_cardinality(f.edge(i))
+    e2, e3 = slice(c1, c1 + c2), slice(c1 + c2, None)
+    bad = np.flatnonzero(free[e2] & (150 * size[e2] < n))
+    if bad.size:
+        i = c1 + int(bad[0])
+        raise InternalInvariantViolation(
+            "e2-size", f"e2 edge {f.edge(i)} has {size[i]} < n/150 elements")
+    bad = np.flatnonzero(~free[e3])
+    if bad.size:
+        raise InternalInvariantViolation(
+            "e3-injective",
+            f"e3 edge {f.edge(c1 + c2 + int(bad[0]))} has colliding lattice points")
+    bad = np.flatnonzero(144 * size[e3] < n)
+    if bad.size:
+        i = c1 + c2 + int(bad[0])
+        raise InternalInvariantViolation(
+            "e3-size", f"e3 edge {f.edge(i)} has {size[i]} < n/144 elements")
+    return FamilyStats(n, c1, c2, c3, len(f), int(((l1 - 1) * d1 + (l2 - 1) * d2).max()),
+                       int(size[e2].min()) if c2 else None,
+                       int(size[e3].min()) if c3 else None)
 
 
 def family_records(f: FamilyE0) -> Iterator[dict]:
-    """JSON-ready records, one per edge, with provenance."""
-    for e in f.e1:
-        yield {"sub": "e1", "d1": e.d1, "l1": e.l1, "d2": e.d2, "l2": e.l2}
-    for e in f.e2:
-        yield {"sub": "e2", "d1": e.d1, "l1": e.l1, "d2": e.d2, "l2": e.l2}
-    for e, prov in f.e3:
-        yield {"sub": "e3", "d1": e.d1, "l1": e.l1, "d2": e.d2, "l2": e.l2,
-               "k": prov.k, "b": prov.b}
+    """JSON-ready records of Python ints, one per edge, with the e3 rows'
+    scale and class."""
+    c1, c2, _ = f.counts
+    rows = f.edges.tolist()
+    for sub, part in (("e1", rows[:c1]), ("e2", rows[c1:c1 + c2])):
+        for d1, l1, d2, l2 in part:
+            yield {"sub": sub, "d1": d1, "l1": l1, "d2": d2, "l2": l2}
+    for (d1, l1, d2, l2), k, b in zip(rows[c1 + c2:], f.k.tolist(), f.b.tolist()):
+        yield {"sub": "e3", "d1": d1, "l1": l1, "d2": d2, "l2": l2, "k": k, "b": b}
 
 
 def write_family_jsonl(f: FamilyE0, stream) -> None:

@@ -68,8 +68,8 @@ class SumEdge(_EdgeKey):
     """Sumset of two zero-based progressions, keyed by (d1, l1, d2, l2).
 
     A named tuple: immutable, hashed and compared as the plain tuple
-    (d1, l1, d2, l2), and cheap to build, as the family build does once
-    per edge and ``certify`` once per alpha.
+    (d1, l1, d2, l2), and cheap to build, as ``certify`` does once per
+    alpha and ``FamilyE0.edge`` once per row it is asked for.
     """
 
     __slots__ = ()
@@ -86,13 +86,16 @@ class SumEdge(_EdgeKey):
 
     @property
     def collision_free(self) -> bool:
-        """Whether the l1 x l2 lattice points are distinct elements.
+        """Whether the l1 x l2 lattice points are distinct elements."""
+        return collision_free(self.d1, self.l1, self.d2, self.l2, math.gcd)
 
-        Two points collide exactly when l1 > d2/g and l2 > d1/g with
-        g = gcd(d1, d2), so one short side rules out every collision.
-        """
-        g = math.gcd(self.d1, self.d2)
-        return self.l1 * g <= self.d2 or self.l2 * g <= self.d1
+
+def collision_free(d1, l1, d2, l2, gcd):
+    """Whether the l1 x l2 lattice points are distinct elements, for ints
+    with ``math.gcd`` or int64 columns with ``np.gcd``: two points collide
+    exactly when l1 > d2/g and l2 > d1/g with g = gcd(d1, d2)."""
+    g = gcd(d1, d2)
+    return (l1 * g <= d2) | (l2 * g <= d1)
 
 
 def edge_elements_array(e: SumEdge) -> np.ndarray:
@@ -470,11 +473,11 @@ def window_vertices(w: TranslatedEdgeValue, n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _group_index(counts: np.ndarray) -> np.ndarray:
+def group_index(counts: np.ndarray) -> np.ndarray:
     """The index of each element within its group, for groups of the
     given sizes laid end to end."""
     ends = np.cumsum(counts)
-    return np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    return np.arange(counts.sum()) - np.repeat(ends - counts, counts)
 
 
 def _limbs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -513,7 +516,7 @@ def _pair_windows(n: int, d1: int, prog: tuple, low: tuple) -> np.ndarray:
     l1_hi = np.minimum(n, (s2 + n - 1) // d1 + 1)
     count = np.maximum(l1_hi - l1_lo + 1, 0)
     k = np.repeat(np.arange(count.size), count)
-    l1, d2, s2 = l1_lo[k] + _group_index(count), d2[k], s2[k]
+    l1, d2, s2 = l1_lo[k] + group_index(count), d2[k], s2[k]
     s1 = (l1 - 1) * d1
     top = np.maximum(s1, s2)
     width = np.minimum(s1, s2) + n - top
@@ -521,7 +524,7 @@ def _pair_windows(n: int, d1: int, prog: tuple, low: tuple) -> np.ndarray:
     # one entry per row: the strip bit of its first element, which may lie
     # below the strip, and the strip bit above its last element
     k = np.repeat(np.arange(l1.size), l1)
-    first = _group_index(l1) * d1 + (n - 1 - top)[k]
+    first = group_index(l1) * d1 + (n - 1 - top)[k]
     step = d2[k]
     at = (step - 1) * n + np.where(first >= 0, first, first % step)
     above = np.minimum(first + (s2 + 1)[k], 2 * n - 1)
@@ -529,7 +532,7 @@ def _pair_windows(n: int, d1: int, prog: tuple, low: tuple) -> np.ndarray:
     lo, hi = (np.bitwise_or.reduceat(p.take(at) & q.take(above), rows)
               for p, q in zip(prog, low))
 
-    j = _group_index(width).astype(np.uint64)
+    j = group_index(width).astype(np.uint64)
     # hi << 1 << (63 - j) is hi << (64 - j) without a shift by 64 at j = 0
     words = ((np.repeat(lo, width) >> j)
              | ((np.repeat(hi, width) << np.uint64(1)) << (np.uint64(63) - j)))

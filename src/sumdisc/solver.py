@@ -40,10 +40,10 @@ import numpy as np
 
 from .family import FamilyE0
 from .hypergraph import (CapExceeded, Coloring, SumEdge, TranslatedEdgeValue,
-                         canonical_edge_masks, chain_suffix, count_progressions,
-                         edge_elements_array, exact_correlation,
-                         max_edge_imbalance, translate_values,
-                         window_vertices, ENUMERATION_CAP)
+                         canonical_edge_masks, chain_suffix, collision_free,
+                         count_progressions, edge_elements_array,
+                         exact_correlation, max_edge_imbalance,
+                         translate_values, window_vertices, ENUMERATION_CAP)
 # Unused here; bench/spans.py wraps ``solver.edge_cardinality`` by name.
 from .hypergraph import edge_cardinality  # noqa: F401
 from .numtheory import check_invariant
@@ -133,8 +133,8 @@ def _chain_sums(values: np.ndarray, d1: int) -> np.ndarray:
 class TwoNormEngine:
     """Per-edge sums ``S_E = sum over ordered element pairs (x, y) of
     A(|x - y|)`` of one family, for the autocorrelation A of any coloring.
-
-    A collision-free edge (d1, l1, d2, l2) counts the lattice offset
+    It reads the family's table (``family.edges``) as it is; only the
+    colliding rows and the witness become ``SumEdge``s.  A collision-free edge (d1, l1, d2, l2) counts the lattice offset
     (s1, s2) with weight (l1-|s1|)(l2-|s2|), so
     ``S_E = l2*T(0) + 2 * sum over s2 = 1..l2-1 of (l2-s2) * T(s2*d2)``
     with ``T(x) = sum over |s1| < l1 of (l1-|s1|) * A(|x + s1*d1|)``, a
@@ -153,17 +153,16 @@ class TwoNormEngine:
 
     def __init__(self, family: FamilyE0):
         n = self.n = family.n
-        self.edges = list(family.all_edges())
-        self.n_edges = len(self.edges)
+        self.family = family
+        self.n_edges = len(family)
         self.fam_profile = np.zeros(n, dtype=np.int64)
-        shape = np.array([(e.d1, e.l1, e.d2, e.l2) for e in self.edges],
-                         dtype=np.int64).reshape(-1, 4)
-        free = np.array([e.collision_free for e in self.edges], dtype=bool)
+        shape = family.edges
+        free = collision_free(*shape.T, np.gcd)
         sizes = shape[:, 1] * shape[:, 3]
         self._colliding = np.flatnonzero(~free)
         lags, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         for i in self._colliding.tolist():
-            prof = _edge_difference_profile(self.edges[i])
+            prof = _edge_difference_profile(family.edge(i))
             prof[1:] *= 2
             self.fam_profile[:prof.size] += prof
             lags.append(np.flatnonzero(prof))
@@ -216,7 +215,7 @@ class TwoNormEngine:
                         f"to {profile_mass}, not the {pairs} ordered element pairs at n={n}")
         # and so does the forward pass with A = 1, edge by edge
         got, want = self.edge_sums(np.ones(n, dtype=np.int64)), sizes * sizes
-        bad = [(self.edges[i], int(got[i]), int(want[i]))
+        bad = [(family.edge(i), int(got[i]), int(want[i]))
                for i in np.flatnonzero(got != want)[:1]]
         check_invariant(not bad, "edge-mass",
                         f"A = 1 gives (edge, S_E, |E|^2) = {bad} at n={n}")
@@ -256,7 +255,7 @@ class TwoNormEngine:
         check_invariant(int(per_edge.sum()) == total, "edge-total",
                         f"per-edge sums add up to {int(per_edge.sum())}, "
                         f"not S = {total} at n={self.n}")
-        best_edge = self.edges[int(np.argmax(per_edge))]
+        best_edge = self.family.edge(int(np.argmax(per_edge)))
         values = translate_values(chi, best_edge)
         idx = int(np.argmax(np.abs(values)))
         witness = TranslatedEdgeValue(edge=best_edge,

@@ -148,7 +148,7 @@ def test_c6_fourier_side_equality():
     rng = random.Random(66)
     for n in (8, 16, 32, 48, 64):
         fam = build_family(FamilyConfig(n=n))
-        edges = list(fam.all_edges())
+        edges = [fam.edge(i) for i in range(len(fam))]
         m = 2 * (n + max(e.span for e in edges)) + 1
         worst = 0.0
         for _ in range(10):
@@ -266,10 +266,19 @@ hypergraph._trim = lambda e, offset, n: (hypergraph.SumEdge(1, 1, 1, 1), 1)
 hypergraph.max_edge_imbalance(hypergraph.Coloring.random(20, seed=5))
 """,
     "family count-e3": """
+import numpy as np
 from sumdisc import family
-e3_edges = family._e3_edges
-family._e3_edges = lambda n: e3_edges(n) * (6 * n)
+# every M-set five times: |e3| = 630 > 6n, the family 654 <= 7n at n=100
+m_sets = family.m_sets
+family.m_sets = lambda n, d1, k: tuple(np.tile(c, 5) for c in m_sets(n, d1, k))
 family.build_family(family.FamilyConfig(n=100))
+""",
+    "family m-set-size": """
+from sumdisc import family
+# the interval [2, 20] gives class 2 of d1=3 seven members at n=36, one
+# more than 3*sqrt(n)/d1
+family.m_interval = lambda n, d1, k: (2, 20)
+family.m_sets(36, 3, 0)
 """,
     "certifier initial-approximation": """
 from fractions import Fraction

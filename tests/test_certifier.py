@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from sumdisc.certifier import (MIN_N, TOL_SCALE, BelowMinN, Certificate,
                                InternalInvariantViolation, certify,
                                select_delta1, sweep_alphas)
-from sumdisc.family import (FamilyConfig, build_family, build_m_set, kbar,
-                            length1_at_scale, length2_at_scale)
+from sumdisc.family import (FamilyConfig, build_family, kbar, length1_at_scale,
+                            length2_at_scale)
 
 from exp_reference import direct_exp_sum
 
@@ -74,8 +74,12 @@ class TestClassify:
 
 
 def sub_families(fam) -> dict[str, set]:
-    """Each sub-family's edges as a set, for membership checks."""
-    return {"e1": set(fam.e1), "e2": set(fam.e2), "e3": {e for e, _ in fam.e3}}
+    """Each sub-family's edges as a set, for membership checks; e3 as a set
+    of (edge, k, b) rows."""
+    c1, c2, _ = fam.counts
+    edges = [fam.edge(i) for i in range(len(fam))]
+    return {"e1": set(edges[:c1]), "e2": set(edges[c1:c1 + c2]),
+            "e3": set(zip(edges[c1 + c2:], fam.k.tolist(), fam.b.tolist()))}
 
 
 def reverify(cert: Certificate, subs: dict[str, set]) -> None:
@@ -110,13 +114,12 @@ def reverify(cert: Certificate, subs: dict[str, set]) -> None:
         # err in [lo, hi) / sqrt(n), via squaring
         assert (err / lo).numerator ** 2 * n >= (err / lo).denominator ** 2
         assert (err / hi).numerator ** 2 * n < (err / hi).denominator ** 2
-        # second difference lands in the scale-k congruence set
-        assert cert.delta2 in build_m_set(n, cert.delta1, cert.b, k)
+        # the edge is the family's e3 row of scale k and congruence class b
+        assert (cert.edge, k, cert.b) in subs["e3"]
         assert math.gcd(cert.delta1, cert.delta2) == 1
         assert cert.delta2 > cert.edge.l1
         assert cert.edge.l1 == length1_at_scale(n, k)
         assert cert.edge.l2 == length2_at_scale(n, k)
-        assert cert.edge in subs["e3"]
         assert 144 * cert.edge.l1 * cert.edge.l2 >= n
         assert cert.certified_bound == n / 288
         # sign, inverse residue, rounding chain

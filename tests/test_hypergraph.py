@@ -110,9 +110,9 @@ class TestCardinality:
 
 
 class TestSumEdgeValue:
-    """SumEdge is an immutable value: the family keeps edges in sets, a
-    process pool must be able to pickle them, and invariant messages embed
-    their repr."""
+    """SumEdge is an immutable value: the tests keep family edges in sets,
+    a process pool must be able to pickle them, and invariant messages
+    embed their repr."""
 
     def test_fields_are_read_only(self):
         e = SumEdge(2, 3, 3, 2)
@@ -226,7 +226,8 @@ class TestColorValue:
     def test_translate_values_match_element_loop(self, n, colliding):
         # every edge of the family against a plain loop over the edge's
         # elements; the first family with colliding edges is at n=700
-        edges = list(build_family(FamilyConfig(n=n)).all_edges())
+        fam = build_family(FamilyConfig(n=n))
+        edges = [fam.edge(i) for i in range(len(fam))]
         assert sum(not e.collision_free for e in edges) == colliding
         for chi in (Coloring.random(n, seed=n), Coloring.alternating(n)):
             for e in edges:

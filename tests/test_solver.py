@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sumdisc import solver
-from sumdisc.family import FamilyConfig, build_family
+from sumdisc.family import FamilyConfig, FamilyE0, build_family
 from sumdisc.fourier import quadrature_sum_sq, sum_sq_disc
 from sumdisc.hypergraph import (CapExceeded, Coloring, color_value,
                                 edge_elements_array)
@@ -27,7 +27,7 @@ class TestTwoNorm:
             fam = build_family(FamilyConfig(n=n))
             chi = Coloring.random(n, seed=seed)
             bound = TwoNormEngine(fam).evaluate(chi)
-            direct = sum(sum_sq_disc(chi, e) for e in fam.all_edges())
+            direct = sum(sum_sq_disc(chi, fam.edge(i)) for i in range(len(fam)))
             assert bound.total == direct
 
     def test_guaranteed_bounds_for_all_coloring_shapes(self):
@@ -50,10 +50,22 @@ class TestTwoNorm:
             fam = build_family(FamilyConfig(n=n))
             chi = Coloring.random(n, seed=n)
             bound = TwoNormEngine(fam).evaluate(chi)
-            maxspan = max(e.span for e in fam.all_edges())
-            quad = quadrature_sum_sq(chi, list(fam.all_edges()),
-                                     2 * (n + maxspan) + 1)
+            edges = [fam.edge(i) for i in range(len(fam))]
+            maxspan = max(e.span for e in edges)
+            quad = quadrature_sum_sq(chi, edges, 2 * (n + maxspan) + 1)
             assert abs(bound.total - quad) / bound.total <= 1e-6
+
+    def test_rows_become_edges_only_where_needed(self, monkeypatch):
+        # the engine reads the family's table as it is: only the colliding
+        # rows (4 at n=1024) and the witness become SumEdges
+        fam = build_family(FamilyConfig(n=1024))
+        calls, edge = [], FamilyE0.edge
+        monkeypatch.setattr(FamilyE0, "edge",
+                            lambda self, i: calls.append(i) or edge(self, i))
+        engine = TwoNormEngine(fam)
+        assert calls == engine._colliding.tolist() and len(calls) == 4
+        bound = engine.evaluate(Coloring.random(1024, seed=0))
+        assert len(calls) == 5 and bound.witness_edge == edge(fam, calls[-1])
 
     def test_family_mismatch(self):
         fam = build_family(FamilyConfig(n=64))
@@ -92,7 +104,7 @@ def _loop_lag_lists(fam):
     from its elements), doubled off lag 0, and its nonzero entries."""
     fam_profile = np.zeros(fam.n, dtype=np.int64)
     lag_parts, weight_parts, seg_lengths = [], [], []
-    for e in fam.all_edges():
+    for e in (fam.edge(i) for i in range(len(fam))):
         if e.collision_free:
             j1 = np.arange(-(e.l1 - 1), e.l1, dtype=np.int64)
             j2 = np.arange(-(e.l2 - 1), e.l2, dtype=np.int64)
