@@ -98,10 +98,13 @@ def in_m_interval(n: int, delta1: int, k: int, d2: int) -> bool:
     return lo <= d2 <= hi
 
 
-def m_sets(n: int, delta1: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def m_sets(n: int, delta1: int, k: int,
+           tot: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The M-sets at scale k as two int64 columns (b, d2): for each totative
     b of delta1 in increasing order, the second differences congruent to b
-    mod 2^(2k)*delta1 in ``m_interval``, in increasing order.
+    mod 2^(2k)*delta1 in ``m_interval``, in increasing order.  ``tot``, if
+    given, is ``totatives(delta1)`` as int64, which every scale of delta1
+    shares.
 
     Each class has at most 3 * 2^-k * sqrt(n) / delta1 members.
     """
@@ -109,7 +112,8 @@ def m_sets(n: int, delta1: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"k={k} outside [0, {kbar(n, delta1)}] for delta1={delta1}")
     step = (4 ** k) * delta1
     lo, hi = m_interval(n, delta1, k)
-    tot = np.array(totatives(delta1), dtype=np.int64)
+    if tot is None:
+        tot = np.array(totatives(delta1), dtype=np.int64)
     first = lo + (tot - lo) % step
     count = (hi - first) // step + 1
     # count <= 3 * 2^-k sqrt(n) / delta1, checked by squaring
@@ -183,11 +187,12 @@ def build_family(cfg: FamilyConfig) -> FamilyE0:
     # e2: each d1 in [25, r] with every d2 in [1, d1 - 1]
     per_d1 = np.arange(24, r, dtype=np.int64)
     e2 = _e2_shape(n, np.repeat(per_d1 + 1, per_d1), group_index(per_d1) + 1)
-    # e3: the M-sets of each (d1, k) in turn
+    # e3: the M-sets of each (d1, k) in turn, the totatives once per d1
     keys, classes = [], []
     for delta1 in range(1, r + 1):
+        tot = np.array(totatives(delta1), dtype=np.int64)
         for k in range(kbar(n, delta1) + 1):
-            classes.append(m_sets(n, delta1, k))
+            classes.append(m_sets(n, delta1, k, tot))
             keys.append((delta1, k, classes[-1][0].size))
     b, d2 = (np.concatenate(col) for col in zip(*classes))
     d1, k, size = np.array(keys, dtype=np.int64).T

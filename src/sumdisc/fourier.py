@@ -11,8 +11,8 @@ over the pieces of ``hypergraph.staircase_split``; no sum runs over the
 elements.
 
 ``sum_sq_disc`` sums the squared color values of all translates of an
-edge, each value an integer correlation (a float FFT rounded to integers
-under a checked residue bound); ``parseval_check`` compares it against
+edge, each value exact from the integer box filters of
+``hypergraph.translate_values``; ``parseval_check`` compares it against
 uniform-grid quadrature of |chi_hat|^2 * |edge_hat|^2, which is exact for
 trigonometric polynomials once the grid has more points than twice the
 polynomial degree.
@@ -76,17 +76,17 @@ def sum_sq_disc(chi: Coloring, e: SumEdge) -> int:
     """Sum over all offsets of the squared color value of the translate.
 
     Offsets outside [-span, N] contribute nothing, so the sum is finite.
-    The translate values come from ``translate_values``, a float FFT
-    correlation rounded to integers under a checked residue bound, and
-    their squares are summed in int64.
+    The translate values come from ``translate_values``, integer box
+    filters along the edge's two differences, and their squares are summed
+    in int64.
     """
     c = translate_values(chi, e)
     return int(np.dot(c, c))
 
 
 def parseval_check(chi: Coloring, e: SumEdge, m: int) -> float:
-    """Relative gap between the ``sum_sq_disc`` total (integer translate
-    values from a rounded FFT correlation) and grid quadrature.
+    """Relative gap between the ``sum_sq_disc`` total (exact integer
+    translate values from box filters) and grid quadrature.
 
     Requires m > 2 * (N + span): the integrand is a trigonometric
     polynomial of degree N - 1 + span, and uniform quadrature is exact

@@ -8,9 +8,9 @@ continued-fraction convergents of ``p/q`` (``first_convergent``) and
 decides each step by an integer comparison on ``|d*p - a*q|`` against
 ``q``; no rational number is formed on the way.  The rest of the package
 routes every branch decision through such integer comparisons; floats
-appear only when a complex exponential is evaluated and in FFT
-correlations, whose results are rounded to integers under a checked
-residue bound.
+appear only when a complex exponential is evaluated and in the FFT
+autocorrelation of the averaging chain, whose results are rounded to
+integers under a checked residue bound.
 
 Proved facts are checked everywhere with ``check_invariant`` or by raising
 ``InternalInvariantViolation``; unlike ``assert``, both run under

@@ -8,10 +8,10 @@ gaps between ordered pairs of its elements, which ``TwoNormEngine`` takes
 by triangle filters along the chains of stride d1 (a lag list only for
 the few edges whose lattice points collide); the filters in transpose
 give the family's gap profile, so S is one dot product.  The
-autocorrelation and the witness edge's translate values are correlations
-computed as float FFTs and rounded to integers
-(``hypergraph.exact_correlation``), which checks that every rounding
-residue is below 0.25; the sums over them are int64.
+autocorrelation is the one float FFT per coloring, rounded to integers
+(``hypergraph.exact_autocorrelation``), which checks that every rounding
+residue is below 0.25; the sums over it are int64.  The witness edge's
+translate values are integer box filters (``translate_values``).
 S >= n**3 / 90000 holds for every coloring, and the offset maximizer
 always exceeds sqrt(n)/1200 in absolute color value; both facts are
 checked on every call, and so is that the per-edge sums add up to S
@@ -42,7 +42,7 @@ from .family import FamilyE0
 from .hypergraph import (CapExceeded, Coloring, SumEdge, TranslatedEdgeValue,
                          canonical_edge_masks, chain_suffix, collision_free,
                          count_progressions, edge_elements_array,
-                         exact_correlation, max_edge_imbalance,
+                         exact_autocorrelation, max_edge_imbalance,
                          translate_values, window_vertices, ENUMERATION_CAP)
 # Unused here; bench/spans.py wraps ``solver.edge_cardinality`` by name.
 from .hypergraph import edge_cardinality  # noqa: F401
@@ -176,9 +176,8 @@ class TwoNormEngine:
         # starts, and the entries' pos, step and w), edge by edge
         self._groups = []
         by_d1 = np.flatnonzero(free)[np.argsort(shape[free, 0], kind="stable")]
-        # split at each group's first edge; the piece before it is empty
-        firsts = np.unique(shape[by_d1, 0], return_index=True)[1]
-        for edges in np.split(by_d1, firsts)[1:]:
+        # split where d1 changes
+        for edges in np.split(by_d1, np.flatnonzero(np.diff(shape[by_d1, 0])) + 1):
             d1s, l1, d2, l2 = shape[edges].T
             d1 = int(d1s[0])
             lo = -int((l1 + 1).max()) * d1
@@ -244,7 +243,7 @@ class TwoNormEngine:
     def evaluate(self, chi: Coloring) -> TwoNormBound:
         if chi.n != self.n:
             raise FamilyMismatch(f"coloring n={chi.n}, family n={self.n}")
-        autocorr = exact_correlation(chi.values, chi.values)[self.n - 1:]
+        autocorr = exact_autocorrelation(chi.values)
         check_invariant(autocorr[0] == self.n, "autocorrelation-origin",
                         f"A(0) = {autocorr[0]} for a +-1 coloring of n={self.n}")
         total = int(np.dot(self.fam_profile, autocorr))

@@ -255,10 +255,10 @@ solver.local_search_upper(8, restarts=1, seed=0)
 """,
     "hypergraph fft-rounding": """
 import numpy as np
-from sumdisc.hypergraph import Coloring, SumEdge, translate_values
+from sumdisc.hypergraph import Coloring, exact_autocorrelation
 irfft = np.fft.irfft
 np.fft.irfft = lambda *a, **k: irfft(*a, **k) + 0.3
-translate_values(Coloring.random(100, seed=0), SumEdge(1, 3, 5, 2))
+exact_autocorrelation(Coloring.random(100, seed=0).values)
 """,
     "hypergraph sweep-witness-rescore": """
 from sumdisc import hypergraph
@@ -270,7 +270,7 @@ import numpy as np
 from sumdisc import family
 # every M-set five times: |e3| = 630 > 6n, the family 654 <= 7n at n=100
 m_sets = family.m_sets
-family.m_sets = lambda n, d1, k: tuple(np.tile(c, 5) for c in m_sets(n, d1, k))
+family.m_sets = lambda *args: tuple(np.tile(c, 5) for c in m_sets(*args))
 family.build_family(family.FamilyConfig(n=100))
 """,
     "family m-set-size": """

@@ -324,6 +324,15 @@ class TestBuildFamily:
         assert err.value.module == "family"
         assert f"edge {SumEdge(7, shape(n, 7)[1] + n, 1, 1)} spans" in str(err.value)
 
+    def test_totatives_once_per_d1(self, monkeypatch):
+        # every scale of one d1 shares its totatives: isqrt(n) calls, not
+        # one per (d1, k) (kbar(4096, 1) = 6)
+        calls = []
+        monkeypatch.setattr(family, "totatives",
+                            lambda d: calls.append(d) or totatives(d))
+        build_family(FamilyConfig(n=4096))
+        assert calls == list(range(1, 65))
+
     def test_degenerate_n1(self):
         fam = build_family(FamilyConfig(n=1))
         # every edge is the single point {0}
@@ -393,8 +402,8 @@ class TestFamilyChecks:
     @staticmethod
     def repeat_m_sets(monkeypatch, times):
         classes_at = family.m_sets
-        monkeypatch.setattr(family, "m_sets", lambda n, d1, k: tuple(
-            np.tile(col, times) for col in classes_at(n, d1, k)))
+        monkeypatch.setattr(family, "m_sets", lambda *args: tuple(
+            np.tile(col, times) for col in classes_at(*args)))
 
     def test_count_total(self, monkeypatch):
         # |e3| = 6 * 126 at n=100 puts the family (780) above 7n

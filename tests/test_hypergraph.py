@@ -19,7 +19,7 @@ from sumdisc.certifier import certify
 from sumdisc.hypergraph import (CapExceeded, Coloring, SumEdge,
                                 canonical_edge_masks, color_value,
                                 count_progressions, edge_cardinality,
-                                edge_elements_array, exact_correlation,
+                                edge_elements_array, exact_autocorrelation,
                                 max_edge_imbalance, staircase_split,
                                 translate_values, window_vertices)
 from sumdisc.family import FamilyConfig, build_family
@@ -56,6 +56,14 @@ class TestElements:
 
     def test_single_point(self):
         assert edge_elements_array(SumEdge(1, 1, 1, 1)).tolist() == [0]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.builds(SumEdge, *[st.integers(1, 40)] * 4))
+    def test_matches_set_of_lattice_points(self, e):
+        # the union of the pieces' grids, against the sumset as a set
+        got = edge_elements_array(e)
+        assert got.dtype == np.int64
+        assert got.tolist() == element_set(e)
 
 
 class TestCardinality:
@@ -97,13 +105,13 @@ class TestCardinality:
     @settings(max_examples=500, deadline=None)
     @given(st.builds(SumEdge, *[st.integers(1, 40)] * 4))
     def test_staircase_split(self, e):
-        els = edge_elements_array(e)
+        els = np.array(element_set(e))
         assert edge_cardinality(e) == els.size
         # l1 > d2/g, which every collision needs
         if e.l1 * math.gcd(e.d1, e.d2) > e.d2:
             pieces = staircase_split(e)
             assert all(piece.collision_free for _, piece in pieces)
-            joined = np.concatenate([o + edge_elements_array(piece) for o, piece in pieces])
+            joined = np.concatenate([o + np.array(element_set(piece)) for o, piece in pieces])
             # as many elements as E has, and the same set: disjoint pieces
             assert joined.size == els.size
             assert np.array_equal(np.sort(joined), els)
@@ -235,6 +243,22 @@ class TestColorValue:
                                       element_loop_translates(chi, e)), e
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(e=st.builds(SumEdge, *[st.integers(1, 30)] * 4),
+           n=st.integers(1, 200), seed=st.integers(0, 2 ** 31 - 1))
+    def test_translate_values_property(self, e, n, seed):
+        # the box filters, colliding edges (about 40% of these) included
+        chi = Coloring.random(n, seed=seed)
+        got = translate_values(chi, e)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, element_loop_translates(chi, e)), e
+
+
+def element_set(e):
+    """The sumset's distinct elements, sorted, from a set of Python ints."""
+    return sorted({j1 * e.d1 + j2 * e.d2 for j1 in range(e.l1) for j2 in range(e.l2)})
+
+
 def element_loop_translates(chi, e):
     """Color values of the translates a + E, a in [-span, N], as a sum of
     one shifted copy of chi per element of E."""
@@ -242,7 +266,7 @@ def element_loop_translates(chi, e):
     ext = np.zeros(2 * span + chi.n + 1, dtype=np.int64)
     ext[span + 1: span + 1 + chi.n] = chi.values
     out = np.zeros(span + chi.n + 1, dtype=np.int64)
-    for x in edge_elements_array(e).tolist():
+    for x in element_set(e):
         out += ext[x: x + span + chi.n + 1]
     return out
 
@@ -257,18 +281,18 @@ class TestExactCorrelation:
     @pytest.mark.parametrize("n", [1, 2, 3, 576, 4096, 16384])
     def test_autocorrelation_matches_numpy(self, n, kind):
         v = self.KINDS[kind](n).values
-        got = exact_correlation(v, v)
-        assert got.dtype == np.int64
+        got = exact_autocorrelation(v)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        # lags 0..n-1: the upper half of the full correlation
         assert np.array_equal(got, np.correlate(v.astype(np.int64),
-                                                v.astype(np.int64), "full"))
+                                                v.astype(np.int64), "full")[n - 1:])
 
-    @pytest.mark.parametrize("n, length", [(1, 5), (7, 1), (40, 13), (576, 193)])
-    def test_cross_correlation_matches_numpy(self, n, length):
-        # unequal lengths and an asymmetric second vector pin the orientation
-        a = Coloring.random(n, seed=n).values.astype(np.int64)
-        b = np.random.default_rng(length).integers(-3, 4, size=length)
-        assert np.array_equal(exact_correlation(a, b),
-                              np.correlate(a, b, "full"))
+    @pytest.mark.parametrize("n", [1, 7, 40, 193])
+    def test_integer_vectors_match_numpy(self, n):
+        # entries other than +-1, and no symmetry for the lags to hide in
+        v = np.random.default_rng(n).integers(-3, 4, size=n)
+        assert np.array_equal(exact_autocorrelation(v),
+                              np.correlate(v, v, "full")[n - 1:])
 
 
 def _set_edge_masks(n):

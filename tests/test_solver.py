@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,12 +86,23 @@ class TestTwoNorm:
     def test_autocorrelation_origin_is_checked(self, monkeypatch):
         n = 100
         engine = TwoNormEngine(build_family(FamilyConfig(n=n)))
-        exact = solver.exact_correlation
-        monkeypatch.setattr(solver, "exact_correlation",
-                            lambda a, b: exact(a, b) + 1)
+        exact = solver.exact_autocorrelation
+        monkeypatch.setattr(solver, "exact_autocorrelation", lambda v: exact(v) + 1)
         with pytest.raises(InternalInvariantViolation) as exc:
             engine.evaluate(Coloring.random(n, seed=0))
         assert exc.value.invariant == "autocorrelation-origin"
+
+    def test_chain_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma (about 10 ms) on its first call; the
+        # family, the engine and evaluate never call it.  A fresh process,
+        # so that no earlier test has loaded it
+        src = str(Path(solver.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        res = subprocess.run([sys.executable, "-c", CHAIN_MODULES], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"numpy.ma": False, "colliding": 4}
 
     def test_averaging_inequality(self):
         # max_(E,a) |chi(E_a)|^2 >= S / (2n * |family|)
@@ -96,6 +111,18 @@ class TestTwoNorm:
         for seed in range(5):
             bound = engine.evaluate(Coloring.random(n, seed=seed))
             assert bound.witness_value ** 2 * 2 * n * bound.n_edges >= bound.total
+
+
+CHAIN_MODULES = """
+import json, sys
+from sumdisc.family import FamilyConfig, build_family
+from sumdisc.hypergraph import Coloring
+from sumdisc.solver import TwoNormEngine
+engine = TwoNormEngine(build_family(FamilyConfig(n=1024)))
+engine.evaluate(Coloring.random(1024, seed=0))
+json.dump({"numpy.ma": "numpy.ma" in sys.modules,
+           "colliding": len(engine._colliding)}, sys.stdout)
+"""
 
 
 def _loop_lag_lists(fam):
@@ -137,7 +164,7 @@ def _oracle_edge_sums(oracle, autocorr):
 
 
 def _autocorr(chi):
-    return solver.exact_correlation(chi.values, chi.values)[chi.n - 1:]
+    return solver.exact_autocorrelation(chi.values)
 
 
 class TestLagLists:
