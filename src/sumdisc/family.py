@@ -99,12 +99,11 @@ def in_m_interval(n: int, delta1: int, k: int, d2: int) -> bool:
 
 
 def m_sets(n: int, delta1: int, k: int,
-           tot: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+           tot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The M-sets at scale k as two int64 columns (b, d2): for each totative
     b of delta1 in increasing order, the second differences congruent to b
-    mod 2^(2k)*delta1 in ``m_interval``, in increasing order.  ``tot``, if
-    given, is ``totatives(delta1)`` as int64, which every scale of delta1
-    shares.
+    mod 2^(2k)*delta1 in ``m_interval``, in increasing order.  ``tot`` is
+    ``totatives(delta1)`` as int64, which every scale of delta1 shares.
 
     Each class has at most 3 * 2^-k * sqrt(n) / delta1 members.
     """
@@ -112,8 +111,6 @@ def m_sets(n: int, delta1: int, k: int,
         raise ValueError(f"k={k} outside [0, {kbar(n, delta1)}] for delta1={delta1}")
     step = (4 ** k) * delta1
     lo, hi = m_interval(n, delta1, k)
-    if tot is None:
-        tot = np.array(totatives(delta1), dtype=np.int64)
     first = lo + (tot - lo) % step
     count = (hi - first) // step + 1
     # count <= 3 * 2^-k sqrt(n) / delta1, checked by squaring

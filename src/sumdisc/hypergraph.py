@@ -518,10 +518,8 @@ def _limbs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words[:, 0].astype(np.uint64), words[:, 1].astype(np.uint64)
 
 
-def _sorted_distinct(words: np.ndarray, kind: str | None = None) -> np.ndarray:
-    """The distinct entries of ``words`` in increasing order; ``words``
-    itself is sorted in place, by ``kind``."""
-    words.sort(kind=kind)
+def _sorted_distinct(words: np.ndarray) -> np.ndarray:
+    """A sorted array without its repeats."""
     keep = np.empty(words.size, dtype=bool)
     keep[:1] = True
     np.not_equal(words[1:], words[:-1], out=keep[1:])
@@ -564,20 +562,14 @@ def _pair_windows(n: int, d1: int, prog: tuple, low: tuple) -> np.ndarray:
     rows = np.cumsum(l1) - l1
     lo, hi = (np.bitwise_or.reduceat(p.take(at) & q.take(above), rows)
               for p, q in zip(prog, low))
-    # the row arrays are freed and the windows built in place, so that a
-    # batch adds little to the pending batches canonical_edge_masks holds
+    # the per-row arrays are freed before the windows are made
     del k, first, step, at, above
 
-    j = group_index(width).view(np.uint64)
-    words = np.repeat(lo, width)
-    words >>= j
+    j = group_index(width).astype(np.uint64)
     # hi << 1 << (63 - j) is hi << (64 - j) without a shift by 64 at j = 0
-    high = np.repeat(hi, width)
-    high <<= np.uint64(1)
-    high <<= np.subtract(np.uint64(63), j, out=j)
-    words |= high
-    words &= np.uint64((1 << n) - 1)
-    return words
+    words = ((np.repeat(lo, width) >> j)
+             | ((np.repeat(hi, width) << np.uint64(1)) << (np.uint64(63) - j)))
+    return words & np.uint64((1 << n) - 1)
 
 
 def canonical_edge_masks(n: int) -> np.ndarray:
@@ -606,11 +598,15 @@ def canonical_edge_masks(n: int) -> np.ndarray:
     union = np.empty(0, dtype=np.uint64)
     pending, size = [], 0
     for d1 in range(1, n + 1):
-        pending.append(_sorted_distinct(_pair_windows(n, d1, prog, low)))
+        words = _pair_windows(n, d1, prog, low)
+        words.sort()
+        pending.append(_sorted_distinct(words))
+        del words
         size += pending[-1].size
         if 2 * size >= union.size or d1 == n:
             union = np.concatenate([union, *pending])
             pending, size = [], 0
             # sorted runs: the stable sort merges them
-            union = _sorted_distinct(union, "stable")
+            union.sort(kind="stable")
+            union = _sorted_distinct(union)
     return union.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)

@@ -274,11 +274,12 @@ family.m_sets = lambda *args: tuple(np.tile(c, 5) for c in m_sets(*args))
 family.build_family(family.FamilyConfig(n=100))
 """,
     "family m-set-size": """
+import numpy as np
 from sumdisc import family
 # the interval [2, 20] gives class 2 of d1=3 seven members at n=36, one
 # more than 3*sqrt(n)/d1
 family.m_interval = lambda n, d1, k: (2, 20)
-family.m_sets(36, 3, 0)
+family.m_sets(36, 3, 0, np.array(family.totatives(3), dtype=np.int64))
 """,
     "certifier initial-approximation": """
 from fractions import Fraction

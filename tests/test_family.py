@@ -87,9 +87,14 @@ def loop_family(n):
     return edges, ks, bs
 
 
+def m_sets_of(n, d1, k):
+    """m_sets with the totatives of d1 passed in, as build_family does."""
+    return m_sets(n, d1, k, np.array(totatives(d1), dtype=np.int64))
+
+
 def classes(n, d1, k):
     """m_sets as a list of (b, d2) pairs."""
-    return list(zip(*(col.tolist() for col in m_sets(n, d1, k))))
+    return list(zip(*(col.tolist() for col in m_sets_of(n, d1, k))))
 
 
 def class_members(n, d1, k, b):
@@ -120,7 +125,7 @@ class TestMSet:
     def test_members_match_loop(self, case, data):
         # every class against the range form, and one against the member walk
         n, d1, k = case
-        b, d2 = m_sets(n, d1, k)
+        b, d2 = m_sets_of(n, d1, k)
         assert b.dtype == d2.dtype == np.int64
         got = list(zip(b.tolist(), d2.tolist()))
         assert got == [(b, d2) for b in totatives(d1) for d2 in m_set_range(n, d1, b, k)]
@@ -144,9 +149,9 @@ class TestMSet:
 
     def test_bad_k(self):
         with pytest.raises(ValueError, match="outside"):
-            m_sets(100, 1, kbar(100, 1) + 1)
+            m_sets_of(100, 1, kbar(100, 1) + 1)
         with pytest.raises(ValueError, match="exceeds"):
-            m_sets(100, 11, 0)
+            m_sets_of(100, 11, 0)
 
     def test_classes_are_totatives(self):
         # every class is a totative of d1, each class is nonempty, and the
@@ -154,7 +159,7 @@ class TestMSet:
         for n in (100, 1000):
             for d1 in range(1, math.isqrt(n) + 1):
                 for k in range(kbar(n, d1) + 1):
-                    b = m_sets(n, d1, k)[0].tolist()
+                    b = m_sets_of(n, d1, k)[0].tolist()
                     assert sorted(set(b)) == totatives(d1) and b == sorted(b)
 
     def test_step_and_count_bounds(self):
@@ -177,7 +182,7 @@ class TestMSet:
         # [2, 20] gives class 1 six members and class 2 seven
         monkeypatch.setattr(family, "m_interval", lambda n, d1, k: (2, 20))
         with pytest.raises(InternalInvariantViolation, match="m-set-size") as err:
-            m_sets(36, 3, 0)
+            m_sets_of(36, 3, 0)
         assert "M(2,0) for delta1=3, n=36 has 7 members" in str(err.value)
 
 
