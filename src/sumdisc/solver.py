@@ -5,9 +5,9 @@ The averaging bound evaluates
 ``S = sum over family edges E, offsets a of chi(a + E)**2`` exactly.  For
 each edge, S_E is a sum of the autocorrelation A of the coloring over the
 gaps between ordered pairs of its elements, which ``TwoNormEngine`` takes
-by triangle filters along the chains of stride d1 (a lag list only for
-the few edges whose lattice points collide); the filters in transpose
-give the family's gap profile, so S is one dot product.  The
+by filters along the chains of stride d1: triangles, and box-box filters
+for the cross term of an edge whose lattice points collide; the filters
+in transpose give the family's gap profile, so S is one dot product.  The
 autocorrelation is the one float FFT per coloring, rounded to integers
 (``hypergraph.exact_autocorrelation``), which checks that every rounding
 residue is below 0.25; the sums over it are int64.  The witness edge's
@@ -41,11 +41,10 @@ import numpy as np
 from .family import FamilyE0
 from .hypergraph import (CapExceeded, Coloring, SumEdge, TranslatedEdgeValue,
                          canonical_edge_masks, chain_suffix, collision_free,
-                         count_progressions, edge_elements_array,
-                         exact_autocorrelation, max_edge_imbalance,
-                         translate_values, window_vertices, ENUMERATION_CAP)
-# Unused here; bench/spans.py wraps ``solver.edge_cardinality`` by name.
-from .hypergraph import edge_cardinality  # noqa: F401
+                         count_progressions, edge_cardinality,
+                         exact_autocorrelation, group_index, max_edge_imbalance,
+                         staircase_split, translate_values, window_vertices,
+                         ENUMERATION_CAP)
 from .numtheory import check_invariant
 
 log = logging.getLogger(__name__)
@@ -112,16 +111,6 @@ class TwoNormBound:
         return abs(self.witness.value)
 
 
-def _edge_difference_profile(e: SumEdge) -> np.ndarray:
-    """Occurrence counts of each nonnegative gap u between ordered element
-    pairs (x, x+u) of the edge, dense over [0, span], from its distinct
-    elements: the profile of an edge whose lattice points collide."""
-    els = edge_elements_array(e)
-    diffs = (els[None, :] - els[:, None]).ravel()
-    keep = diffs >= 0
-    return np.bincount(diffs[keep], minlength=e.span + 1).astype(np.int64)
-
-
 def _chain_sums(values: np.ndarray, d1: int) -> np.ndarray:
     """P2 of one d1 group: prefix sums of ``values`` taken twice along each
     chain of stride d1 (positions congruent mod d1), flat; the length of
@@ -134,90 +123,98 @@ class TwoNormEngine:
     """Per-edge sums ``S_E = sum over ordered element pairs (x, y) of
     A(|x - y|)`` of one family, for the autocorrelation A of any coloring.
     It reads the family's table (``family.edges``) as it is; only the
-    colliding rows and the witness become ``SumEdge``s.  A collision-free edge (d1, l1, d2, l2) counts the lattice offset
-    (s1, s2) with weight (l1-|s1|)(l2-|s2|), so
-    ``S_E = l2*T(0) + 2 * sum over s2 = 1..l2-1 of (l2-s2) * T(s2*d2)``
-    with ``T(x) = sum over |s1| < l1 of (l1-|s1|) * A(|x + s1*d1|)``, a
-    triangle filter along the d1-chain through x:
+    colliding rows and the witness become ``SumEdge``s.  A collision-free
+    edge (d1, l1, d2, l2) counts the lattice offset (s1, s2) with weight
+    (l1-|s1|)(l2-|s2|), so ``S_E = l2*T(0) + 2 * sum over s2 = 1..l2-1 of
+    (l2-s2) * T(s2*d2)`` with ``T(x) = sum over |s1| < l1 of (l1-|s1|) *
+    A(|x + s1*d1|)``, a triangle filter along the d1-chain through x:
     ``T(x) = P2(y) - 2*P2(y - l1*d1) + P2(y - 2*l1*d1)`` for
     ``y = x + (l1-1)*d1``, where P2 is ``_chain_sums`` of A extended
-    symmetrically.  The edges of one d1 share one P2 over the positions
-    [lo, max y], lo = -max (l1+1)*d1, and each (edge, s2) entry keeps its
-    index y - lo into it (intp, as numpy gathers by), its step l1*d1 and
-    its weight (int32).  Only the edges whose lattice points collide keep
-    a lag list: the i-th of them owns ``lags[seg_starts[i]:seg_starts[i+1]]``,
-    its distinct nonnegative gaps, and the same slice of ``weights``, how
-    many ordered element pairs are that far apart.  ``fam_profile``, the
-    weight of each gap over the family, comes from the filters run in
-    transpose, so ``S = fam_profile @ A``.  All sums are int64 and exact."""
+    symmetrically.  A colliding edge is its ``staircase_split`` pieces
+    (0, a) and (o, b), so ``S_E = S_a + S_b + 2*C`` with the cross term
+    ``C = sum over s2 in [-(a.l2-1), b.l2-1] of w(s2) * B(o + s2*d2)``,
+    ``w(s2) = min(b.l2, s2 + a.l2) - max(0, s2)``, and the box-box filter
+    ``B(x) = P2(y) - P2(y - a.l1*d1) - P2(y - b.l1*d1) + P2(y - (a.l1+b.l1)*d1)``
+    for ``y = x + (b.l1-1)*d1``.  The edges of one d1 share one P2, and
+    ``fam_profile`` (the family's weight of each gap) is the filters run
+    in transpose: ``S = fam_profile @ A``, exact in int64."""
 
     def __init__(self, family: FamilyE0):
         n = self.n = family.n
         self.family = family
         self.n_edges = len(family)
         self.fam_profile = np.zeros(n, dtype=np.int64)
+        # always empty: read by bench/workloads.py until ROADMAP item 1 removes them
+        self.lags = self.weights = self.seg_starts = np.empty(0, dtype=np.int64)
+        self.lags.flags.writeable = False
         shape = family.edges
         free = collision_free(*shape.T, np.gcd)
         sizes = shape[:, 1] * shape[:, 3]
-        self._colliding = np.flatnonzero(~free)
-        lags, weights = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for i in self._colliding.tolist():
-            prof = _edge_difference_profile(family.edge(i))
-            prof[1:] *= 2
-            self.fam_profile[:prof.size] += prof
-            lags.append(np.flatnonzero(prof))
-            weights.append(prof[lags[-1]])
-        counts = np.array([part.size for part in lags[1:]], dtype=np.int64)
-        self.lags, self.weights = np.concatenate(lags), np.concatenate(weights)
-        self.seg_starts = np.cumsum(counts) - counts
-        coll_sizes = sizes[self._colliding] = self.weights[self.seg_starts]
+        coll = np.flatnonzero(~free)
+        # the colliding edges by d1: index, |E|, d2, o, a.l1, a.l2, b.l1 and b.l2
+        self._colliding = coll[np.argsort(shape[coll, 0], kind="stable")]
+        split = np.array([(i, edge_cardinality(e), e.d2, o, a.l1, a.l2, b.l1, b.l2)
+                          for i in self._colliding.tolist() for e in [family.edge(i)]
+                          for (_, a), (o, b) in [staircase_split(e)]],
+                         dtype=np.int64).reshape(-1, 8)
+        sizes[split[:, 0]] = split[:, 1]
+        # triangle rows (edge, l1, l2) by d1, an edge's rows adjacent: the
+        # collision-free edges and both pieces of each colliding one
+        rows = np.concatenate([np.c_[np.flatnonzero(free), shape[free][:, 1::2]],
+                               np.c_[np.repeat(split[:, 0], 2), split[:, 4:].reshape(-1, 2)]])
+        rows = rows[np.argsort(shape[rows[:, 0], 0], kind="stable")]
+        # box-box entries, one per (colliding edge, s2): their 4 taps' positions, weights
+        cedge, _, d2, o, al1, al2, bl1, bl2 = split.T
+        m = al2 + bl2 - 1
+        k = np.repeat(np.arange(cedge.size), m)
+        s2 = group_index(m) - (al2 - 1)[k]
+        cd1 = shape[cedge, 0][k]
+        y, sa, sb = o[k] + s2 * d2[k] + (bl1 - 1)[k] * cd1, al1[k] * cd1, bl1[k] * cd1
+        cross_at = np.stack([y, y - sa, y - sb, y - sa - sb], axis=1)
+        cross_w = np.outer(np.minimum(bl2[k], s2 + al2[k]) - np.maximum(s2, 0), [2, -2, -2, 2])
+        self._cross = (cedge, 4 * (np.cumsum(m) - m), cross_w.ravel())
 
-        # per d1: (d1, lo, P2 cells, its collision-free edges, their entry
-        # starts, and the entries' pos, step and w), edge by edge
+        # per d1 (rows split where it changes): d1, lo, P2 cells, its edges, their
+        # entry starts, each (row, s2) entry's P2 index y - lo, step and w, box-box taps
         self._groups = []
-        by_d1 = np.flatnonzero(free)[np.argsort(shape[free, 0], kind="stable")]
-        # split where d1 changes
-        for edges in np.split(by_d1, np.flatnonzero(np.diff(shape[by_d1, 0])) + 1):
-            d1s, l1, d2, l2 = shape[edges].T
-            d1 = int(d1s[0])
-            lo = -int((l1 + 1).max()) * d1
-            hi = int(((l1 - 1) * d1 + (l2 - 1) * d2).max())
-            cells = -(-(hi - lo + 1) // d1) * d1
-            starts = np.cumsum(l2) - l2
-            k = np.repeat(np.arange(edges.size), l2)
-            s2 = np.arange(k.size) - starts[k]
-            pos, step = s2 * d2[k] + ((l1 - 1) * d1 - lo)[k], (l1 * d1)[k]
+        for edge, l1, l2 in (g.T for g in np.split(
+                rows, np.flatnonzero(np.diff(shape[rows[:, 0], 0])) + 1)):
+            d1, starts = int(shape[edge[0], 0]), np.cumsum(l2) - l2
+            k, s2 = np.repeat(np.arange(edge.size), l2), group_index(l2)
+            pos, step = s2 * shape[edge, 2][k] + ((l1 - 1) * d1)[k], (l1 * d1)[k]
             w = 2 * (l2[k] - s2)
             w[starts] = l2
-            self._groups.append((d1, lo, cells, edges, starts, pos.astype(np.intp),
-                                 step.astype(np.int32), w.astype(np.int32)))
-            # the three taps of each entry, then the transpose of
-            # _chain_sums, chain suffix sums taken twice: coef[i] weighs
-            # A(|lo + i|), and is 0 where |lo + i| >= n
+            c = slice(*np.searchsorted(cd1, [d1, d1 + 1]))
+            lo = int(min((pos - 2 * step).min(), cross_at[c].min(initial=0)))
+            hi = int(max(pos.max(), cross_at[c].max(initial=0)))
+            cells = -(-(hi - lo + 1) // d1) * d1
+            pos, at = pos - lo, (cross_at[c] - lo).ravel()
+            # the taps of each entry (int64: np.add.at is many times slower
+            # on int32), then the transpose of _chain_sums, chain suffix sums
+            # taken twice: coef[i] weighs A(|lo + i|), 0 where |lo + i| >= n
             taps = np.zeros(cells, dtype=np.int64)
-            for at, tap in ((pos, w), (pos - step, -2 * w), (pos - 2 * step, w)):
-                np.add.at(taps, at, tap)
+            for idx, tap in ((pos, w), (pos - step, -2 * w), (pos - 2 * step, w),
+                             (at, cross_w[c].ravel())):
+                np.add.at(taps, idx, tap)
             coef = chain_suffix(chain_suffix(taps, d1, np.add), d1, np.add)
             neg = min(-lo, n - 1)
             self.fam_profile[:hi + 1] += coef[-lo:-lo + hi + 1]
             self.fam_profile[1:neg + 1] += coef[-lo - 1::-1][:neg]
-        # A extended to the positions +-(n-1+2*d1), which hold every P2
-        # (lo >= -(n-1+2*d1), as (l1-1)*d1 <= n-1), 0 past +-(n-1)
-        self._pad = n - 1 + 2 * int(shape[free, 0].max(initial=0))
+            first = np.flatnonzero(np.diff(edge, prepend=-1))
+            self._groups.append((d1, lo, cells, edge[first], starts[first], pos.astype(np.intp),
+                                 step.astype(np.int32), w.astype(np.int32), at.astype(np.intp)))
+        # A extended symmetrically to the positions +-pad that hold every P2
+        self._pad = max([n - 1] + [max(-g[1], g[1] + g[2] - 1) for g in self._groups])
 
-        # each edge's weights count every ordered pair of its elements once
-        coll_pairs, mass = int(np.dot(coll_sizes, coll_sizes)), int(self.weights.sum())
+        # the profile counts every ordered pair of each edge's elements once
         pairs, profile_mass = int(np.dot(sizes, sizes)), int(self.fam_profile.sum())
-        check_invariant(bool(np.all(self.lags[self.seg_starts] == 0))
-                        and mass == coll_pairs and profile_mass == pairs, "profile-mass",
-                        f"colliding weights sum to {mass}, not {coll_pairs}, and the profile "
-                        f"to {profile_mass}, not the {pairs} ordered element pairs at n={n}")
+        check_invariant(profile_mass == pairs, "profile-mass", f"the profile sums to "
+                        f"{profile_mass}, not the {pairs} ordered element pairs at n={n}")
         # and so does the forward pass with A = 1, edge by edge
         got, want = self.edge_sums(np.ones(n, dtype=np.int64)), sizes * sizes
         bad = [(family.edge(i), int(got[i]), int(want[i]))
                for i in np.flatnonzero(got != want)[:1]]
-        check_invariant(not bad, "edge-mass",
-                        f"A = 1 gives (edge, S_E, |E|^2) = {bad} at n={n}")
+        check_invariant(not bad, "edge-mass", f"A = 1 gives (edge, S_E, |E|^2) = {bad} at n={n}")
 
     def edge_sums(self, autocorr: np.ndarray) -> np.ndarray:
         """``S_E`` of every edge, in edge order, for the autocorrelation
@@ -227,7 +224,8 @@ class TwoNormEngine:
         sym[pad:pad + n] = autocorr
         sym[pad - n + 1:pad + 1] = autocorr[::-1]
         sums = np.empty(self.n_edges, dtype=np.int64)
-        for d1, lo, cells, edges, starts, pos, step, w in self._groups:
+        cross = []
+        for d1, lo, cells, edges, starts, pos, step, w, at in self._groups:
             p2 = _chain_sums(sym[pad + lo:pad + lo + cells], d1)
             t = p2[pos]
             pos = pos - step
@@ -236,8 +234,10 @@ class TwoNormEngine:
             t += p2[pos]
             t *= w
             sums[edges] = np.add.reduceat(t, starts)
-        sums[self._colliding] = np.add.reduceat(self.weights * autocorr[self.lags],
-                                                self.seg_starts)
+            cross.append(p2[at])
+        # the colliding edges' cross terms, in one reduction for all d1
+        cedges, cstarts, cross_w = self._cross
+        sums[cedges] += np.add.reduceat(np.concatenate(cross) * cross_w, cstarts)
         return sums
 
     def evaluate(self, chi: Coloring) -> TwoNormBound:

@@ -216,13 +216,14 @@ engine.evaluate(Coloring.random(100, seed=0))
     "solver profile-mass": """
 from sumdisc import solver
 from sumdisc.family import FamilyConfig, build_family
-profile = solver._edge_difference_profile
-def one_more_pair(e):
-    prof = profile(e)
-    prof[1] += 1
-    return prof
-solver._edge_difference_profile = one_more_pair
-# n=1024 has colliding edges, the ones whose profile this counts
+from sumdisc.hypergraph import SumEdge
+split = solver.staircase_split
+def one_row_short(e):
+    a, (o, b) = split(e)
+    return a, (o, SumEdge(b.d1, b.l1, b.d2, b.l2 - 1))
+solver.staircase_split = one_row_short
+# n=1024 has colliding edges (their pieces b have two rows), the ones the
+# filters take as staircase pieces
 solver.TwoNormEngine(build_family(FamilyConfig(n=1024)))
 """,
     "solver edge-mass": """

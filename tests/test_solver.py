@@ -12,8 +12,8 @@ import pytest
 from sumdisc import solver
 from sumdisc.family import FamilyConfig, FamilyE0, build_family
 from sumdisc.fourier import quadrature_sum_sq, sum_sq_disc
-from sumdisc.hypergraph import (CapExceeded, Coloring, color_value,
-                                edge_elements_array)
+from sumdisc.hypergraph import (CapExceeded, Coloring, collision_free,
+                                color_value, edge_elements_array)
 from sumdisc.numtheory import InternalInvariantViolation
 from sumdisc.solver import (DiscReport, FamilyMismatch, TwoNormEngine,
                             exact_discrepancy, local_search_upper,
@@ -168,15 +168,17 @@ def _autocorr(chi):
 
 
 class TestLagLists:
-    # SHA-256 at n=16384 of the bytes of fam_profile, and of the per-edge
-    # sums for ones, alt, block and the random colorings of seeds 1 and 2,
-    # both recorded from the whole-family lag lists the chain filters
-    # replaced
+    # the chain filters against the per-edge loop they replaced: triangle
+    # entries, and for a colliding edge its two staircase pieces plus the
+    # box-box entries of their cross term.  SHA-256 at n=16384 of the bytes
+    # of fam_profile, and of the per-edge sums for ones, alt, block and the
+    # random colorings of seeds 1 and 2, both recorded from the
+    # whole-family lag lists the chain filters replaced
     PROFILE_SHA256_16384 = "cd48ae538e6a39bbc4d28693d48e6b7ed9c9e2719bc835f1f9038626e8c41e9d"
     EDGE_SUMS_SHA256_16384 = "1464f78803c452157ab103b73055f38129ff20ba4d679d644e0ff19e23b0cdaa"
 
-    def _assert_matches_loop(self, n):
-        fam = build_family(FamilyConfig(n=n))
+    def _assert_matches_loop(self, fam):
+        n = fam.n
         engine = TwoNormEngine(fam)
         oracle = _loop_lag_lists(fam)
         assert engine.fam_profile.dtype == np.int64
@@ -186,23 +188,38 @@ class TestLagLists:
             got = engine.edge_sums(_autocorr(chi))
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, _oracle_edge_sums(oracle, _autocorr(chi)))
-        # the colliding edges keep the oracle's lag lists, in edge order
-        lags, weights, seg_starts, _ = oracle
-        ends = np.append(seg_starts[1:], lags.size)
-        keep = [np.arange(seg_starts[i], ends[i]) for i in engine._colliding]
-        keep = np.concatenate([np.empty(0, dtype=np.int64), *keep])
-        np.testing.assert_array_equal(engine.lags, lags[keep])
-        np.testing.assert_array_equal(engine.weights, weights[keep])
-        assert engine.lags.dtype == engine.weights.dtype == np.int64
-        assert engine.seg_starts.size == engine._colliding.size
 
     def test_matches_loop_small_n(self):
         for n in range(1, 130):
-            self._assert_matches_loop(n)
+            self._assert_matches_loop(build_family(FamilyConfig(n=n)))
 
     @pytest.mark.parametrize("n", [700, 1000, 2048, 4096])
     def test_matches_loop(self, n):
-        self._assert_matches_loop(n)
+        self._assert_matches_loop(build_family(FamilyConfig(n=n)))
+
+    def test_matches_loop_random_rows(self):
+        # seeded random rows of span <= n-1, with small differences so that
+        # many collide, in shapes the family lacks.  With D1 = d1/g and
+        # D2 = d2/g, a row collides when l1 > D2 and l2 > D1; its pieces are
+        # a = (d1, D2, d2, l2) and b = (d1, l1 - D2, d2, D1).  The family's
+        # colliding rows all have D1 > D2; these rows also have D1 <= D2,
+        # and each order of a.l1 against b.l1 and of a.l2 against 2*b.l2
+        n, rng, rows = 257, np.random.default_rng(7), []
+        while len(rows) < 300:
+            d1, l1, d2, l2 = (int(x) for x in rng.integers(1, [13, 40, 13, 12]))
+            if (l1 - 1) * d1 + (l2 - 1) * d2 <= n - 1:
+                rows.append((d1, l1, d2, l2))
+        edges = np.array(rows, dtype=np.int64)
+        fam = FamilyE0(n=n, counts=(len(rows), 0, 0), edges=edges,
+                       k=np.empty(0, dtype=np.int64), b=np.empty(0, dtype=np.int64))
+        g = np.gcd(edges[:, 0], edges[:, 2])
+        big_d1, big_d2 = edges[:, 0] // g, edges[:, 2] // g
+        l1, l2 = edges[:, 1], edges[:, 3]
+        colliding = ~collision_free(*edges.T, np.gcd)
+        for shape in (big_d1 < big_d2, big_d1 == big_d2, big_d1 > big_d2,
+                      l1 >= 2 * big_d2, l1 < 2 * big_d2, l2 >= 2 * big_d1, l2 < 2 * big_d1):
+            assert np.any(colliding & shape)
+        self._assert_matches_loop(fam)
 
     @pytest.fixture(scope="class")
     def engine_16384(self):
