@@ -21,10 +21,14 @@ elements once (``profile-mass``, and ``edge-mass`` with A = 1).
 
 The searches at small N score colorings as uint64 words of their +1
 vertices against the canonical edge words: random search by ``_scan``,
-local search by signed edge imbalances updated per accepted flip, whose
-final words ``_scan`` re-scores (``local-search-rescore``), and the exact
-search by a branch-and-bound over prefixes whose witness is re-scored
-over every edge (``exact-rescore``).
+which bounds each coloring on a strided sample of the edge words and
+walks every edge only with the colorings that can still win (a tie keeps
+the earlier word), and whose winner's witness edge is re-scored
+(``random-rescore``); local search by signed edge imbalances updated per
+accepted flip, whose final words ``_scan`` re-scores
+(``local-search-rescore``); and the exact search by a branch-and-bound
+over prefixes whose witness is re-scored over every edge
+(``exact-rescore``).
 """
 
 from __future__ import annotations
@@ -284,6 +288,10 @@ class TwoNormEngine:
 
 _SIGNS = np.array([-1, 1], dtype=np.int8)
 _CHUNK = 1024
+# edge words in the strided sample that bounds each coloring, and per
+# block of the exact walk (``_scan``)
+_SAMPLE = 4096
+_BLOCK = 4096
 
 
 @functools.cache
@@ -313,19 +321,53 @@ def _pack(signs: np.ndarray) -> np.ndarray:
     return np.pad(bits, ((0, 0), (0, 8 - bits.shape[1]))).view("<u8").ravel()
 
 
+def _maxima(words: np.ndarray, sizes: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Max |color value| over the edge words of each coloring word in
+    ``pos`` (int16), in ``_imbalances`` calls of about 2**16 cells."""
+    step = max(1, (1 << 16) // len(words))
+    return np.concatenate([_imbalances(words, sizes, pos[lo:lo + step]).max(axis=1)
+                           for lo in range(0, len(pos), step)])
+
+
 def _scan(words: np.ndarray, sizes: np.ndarray,
           batches: Iterable[np.ndarray]) -> tuple[int, int]:
     """Least max |color value| over the edge words among the coloring
-    words of ``batches``, and the first word that reaches it, in
-    ``_imbalances`` calls of about 2**16 (coloring, edge) cells."""
-    step = max(1, (1 << 16) // len(words))
+    words of ``batches``, and the first word in batch order that reaches
+    it, for edge words in any order.
+
+    Each batch is first scored on the strided sample
+    ``words[::max(1, m // _SAMPLE)]`` of the m edge words (a view), whose
+    maxima are lower bounds.  Then a coloring survives while its running max stays within
+    its limit: in the first batch, the coloring at the least sampled max
+    is scored over every edge, with value f, and the colorings up to it
+    survive while at most f, later ones while below f; in later batches
+    every coloring survives only while below the best so far, which keeps
+    the earlier word at a tie.  The survivors walk the edge words in blocks
+    of ``_BLOCK``, so a survivor's running max after the last block is
+    exact, and the first at the least of them wins."""
+    sample = slice(None, None, max(1, len(words) // _SAMPLE))
     best, best_word = None, 0
     for batch in batches:
-        for lo in range(0, len(batch), step):
-            worst = _imbalances(words, sizes, batch[lo:lo + step]).max(axis=1)
-            i = int(np.argmin(worst))
-            if best is None or worst[i] < best:
-                best, best_word = int(worst[i]), int(batch[lo + i])
+        if not len(batch):
+            continue
+        run = _maxima(words[sample], sizes[sample], batch)
+        ties = 0  # the colorings that may tie the best
+        if best is None:
+            ties = int(np.argmin(run)) + 1
+            best = int(_maxima(words, sizes, batch[ties - 1:ties])[0])
+        limit = np.full(len(batch), best - 1)
+        limit[:ties] = best
+        alive = np.flatnonzero(run <= limit)
+        for lo in range(0, len(words), _BLOCK):
+            if not alive.size:
+                break
+            block = slice(lo, lo + _BLOCK)
+            run[alive] = np.maximum(run[alive], _maxima(words[block], sizes[block],
+                                                        batch[alive]))
+            alive = alive[run[alive] <= limit[alive]]
+        if alive.size:
+            j = alive[int(np.argmin(run[alive]))]
+            best, best_word = int(run[j]), int(batch[j])
     return best, best_word
 
 
@@ -425,6 +467,11 @@ def random_coloring_upper(n: int, trials: int = 100, seed: int = 0) -> DiscRepor
         words, sizes = _packed_edges(n)
         best, word = _scan(words, sizes, map(_pack, _draws(n, trials, seed)))
         m, witness = len(words), _witness(n, word, words, sizes)
+        # the witness edge is the first at the word's max over every edge
+        worst = abs(sum(witness["witness_coloring"][z - 1] for z in witness["witness_edge"]))
+        check_invariant(worst == best, "random-rescore",
+                        f"witness word {word} scores {worst} over every edge, "
+                        f"the scan reported {best} at n={n}")
     else:
         best, witness = _sweep_rows(n, _draws(n, trials, seed))
         m = count_progressions(n)

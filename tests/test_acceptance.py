@@ -248,6 +248,16 @@ from sumdisc import solver
 solver._children = lambda parents, words, sizes, bound, bit: parents
 solver.exact_discrepancy(8)
 """,
+    "solver random-rescore": """
+from sumdisc import solver
+# a scan that reports one less than its word's max over every edge
+scan = solver._scan
+def one_less(words, sizes, batches):
+    best, word = scan(words, sizes, batches)
+    return best - 1, word
+solver._scan = one_less
+solver.random_coloring_upper(8, trials=3, seed=0)
+""",
     "solver local-search-flip": """
 from sumdisc import solver
 # accept every vertex, improving or not

@@ -489,6 +489,18 @@ class TestUpperBounds:
         with pytest.raises(InternalInvariantViolation, match="local-search-flip"):
             local_search_upper(8, restarts=1, seed=0)
 
+    def test_random_rescore_check(self, monkeypatch):
+        # a scan that reports one less than its word's max over every edge
+        scan = solver._scan
+
+        def one_less(words, sizes, batches):
+            best, word = scan(words, sizes, batches)
+            return best - 1, word
+
+        monkeypatch.setattr(solver, "_scan", one_less)
+        with pytest.raises(InternalInvariantViolation, match="random-rescore"):
+            random_coloring_upper(8, trials=3, seed=0)
+
     def test_report_fields(self):
         rep = random_coloring_upper(10, trials=5, seed=1)
         assert rep.method == "random" and rep.n == 10
@@ -555,6 +567,64 @@ class TestUpperBounds:
             assert rep.witness_coloring == best_signs.tolist()
             assert rep.witness_edge == tuple(z for z in range(1, n + 1)
                                              if edge >> (z - 1) & 1)
+
+
+def _full_scan(words, sizes, batches):
+    """The scan of every (coloring, edge) cell that the pruned ``_scan``
+    replaced, its oracle."""
+    step = max(1, (1 << 16) // len(words))
+    best, best_word = None, 0
+    for batch in batches:
+        for lo in range(0, len(batch), step):
+            worst = solver._imbalances(words, sizes, batch[lo:lo + step]).max(axis=1)
+            i = int(np.argmin(worst))
+            if best is None or worst[i] < best:
+                best, best_word = int(worst[i]), int(batch[lo + i])
+    return best, best_word
+
+
+class TestPrunedScan:
+    # edge word counts below, at and above the sample and the block
+    # (both 4096), and where the sample stride reaches 2 and 3
+    @pytest.mark.parametrize("m", [1, 7, 4095, 4096, 4097, 8191, 8192, 8193,
+                                   12289, 20000])
+    def test_matches_full_scan(self, m):
+        assert solver._SAMPLE == solver._BLOCK == 4096
+        rng = np.random.default_rng(m)
+        # one batch, several (one of them empty), and batches past 16
+        # colorings, which cross the 2**16-cell split of the sample and of
+        # the blocks at m >= 4096; at m = 1 and 7 the 70,000 colorings cross it
+        shapes = [(1,), (3, 0, 1, 5), (40, 17, 200)] + [(70000, 3)] * (m < 100)
+        for n in (3, 10, 64):
+            mask = np.uint64((1 << n) - 1)
+
+            def draw(pool, size):
+                # random words over n vertices, with repeats from a pool
+                return rng.choice(rng.integers(1 << 64, size=pool, dtype=np.uint64)
+                                  & mask, size)
+
+            words = draw(max(1, m // 3), m)
+            sizes = np.bitwise_count(words).astype(np.int16)
+            for shape in shapes:
+                # few distinct colorings: at n = 3 and 10 many tie at the minimum
+                batches = [draw(12, k) for k in shape]
+                assert solver._scan(words, sizes, batches) == \
+                    _full_scan(words, sizes, batches), (m, n, shape)
+
+    @pytest.mark.parametrize("m", [4097, 20000])
+    def test_every_edge_word_counts(self, m):
+        # singletons, on which every coloring scores 1, and at one position
+        # the word of all 64 vertices, on which the empty coloring scores 64
+        # and a balanced one 0: wherever that word sits, in the sample or
+        # not, the balanced coloring wins though it comes second
+        rng = np.random.default_rng(m)
+        pos = np.array([0, (1 << 32) - 1], dtype=np.uint64)
+        for at in [*range(0, m, 997), m - 1]:
+            words = np.uint64(1) << rng.integers(64, size=m, dtype=np.uint64)
+            words[at] = ~np.uint64(0)
+            sizes = np.bitwise_count(words).astype(np.int16)
+            assert solver._scan(words, sizes, [pos]) == (1, (1 << 32) - 1), at
+            assert solver._scan(words, sizes, [pos[:1], pos[1:]]) == (1, (1 << 32) - 1), at
 
 
 class TestEdgeWords:
