@@ -107,10 +107,6 @@ class TwoNormBound:
         return self.witness.edge
 
     @property
-    def witness_offset(self) -> int:
-        return self.witness.offset
-
-    @property
     def witness_value(self) -> int:
         return abs(self.witness.value)
 

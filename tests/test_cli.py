@@ -1,9 +1,9 @@
 import csv
-import hashlib
 import io
 import json
 import os
 import pickle
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +12,8 @@ from sumdisc import certifier, cli, hypergraph
 from sumdisc.cli import main
 from sumdisc.hypergraph import SumEdge, count_progressions
 from sumdisc.numtheory import InternalInvariantViolation
+
+import golden
 
 
 @pytest.fixture
@@ -302,37 +304,25 @@ class TestFailureClasses:
         assert rec["message"].startswith("magnitude-bound: measured 0")
 
 
-# SHA-256 of stdout, taken before the CLI had one output and one failure path
-GOLDEN = [
-    ("certify --n 1200 --alpha 7/9",
-     "43e521c9a46eaf1df29b8226986cb09f9395a1398cb14103f49854a72bf9a6db"),
-    ("certify --n 4096 --alpha 1/3001",
-     "ca6d9ae4309c7058844f97f9a8f5e07d63dd4c900df1be7bbefaa2f7682e6930"),
-    ("sweep --n 1024 --grid 50 --random 10 --seed 3 --threads 1",
-     "bcfc4f78b4b3bece509fcb220ee9a77869f0966eafeb77a03d746fdb12e9691a"),
-    ("disc --n 10 --method exact",
-     "3ecad7bb15dcfd68669ff736b338d167eda5bc8f8609c933829eeb34d09d7ec4"),
-    ("disc --n 12 --method random --trials 5 --seed 9",
-     "252c122eedec1f0a202f814e2134a3350e5362e6abb6af581f4ea9f33051d699"),
-    ("disc --n 16 --method local --restarts 3 --seed 0",
-     "93930fa7fe81b544a7647d0ee9b54fa6ca951184654b8c2ba1710b61c85394c2"),
-    ("disc --n 80 --method random --trials 3 --seed 1",
-     "95a18358a305f5e3e40fdb62243ed094130be742b2597ad609ccc4b2af7c8fc5"),
-    ("twonorm --n 576 --colorings random:3,ones,alt,block --seed 0",
-     "86d6bc33c63f3d6f605cbbc34974e04c7d60ab9640ad63908edaf14f5f2ee954"),
-    ("family --n 700",
-     "9f5c2798119067c62ae401de1209478ff086fc375a560a67abf9a9816f090c48"),
-    ("family --n 700 --format csv",
-     "bb23f798feea5680ebbacdceaf3c0a23c1a80166a186650e6997fdeee8d59010"),
-    ("spectrum --d1 2 --l1 3 --d2 3 --l2 2 --grid 16",
-     "3a718121c3b1e7cc0cd16d6e68887aff1f4ee48f9ec14599e9614cc1c3a09e11"),
-    ("verify-lemmas --n 576 --grid 60 --trials 40",
-     "db0086b288947cba2409d9eea7c8397c1b52017b1e16a9c2d9f1e9c1a0d52a95"),
-]
-
-
-@pytest.mark.parametrize("command, digest", GOLDEN)
-def test_golden_stdout(runner, command, digest):
-    res = runner.invoke(main, command.split())
+@pytest.mark.parametrize("entry", [
+    pytest.param(e, id=f"{' '.join(e['argv'])}-{e['stdout_sha256']}")
+    for e in golden.load("suite")])
+def test_golden_stdout(runner, entry):
+    res = runner.invoke(main, entry["argv"])
     assert res.exit_code == 0
-    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+    # CliRunner's text, in which the CSV writer's \r\n reads as \n
+    assert golden.sha256(res.stdout.encode()) == entry["stdout_sha256"]
+    if entry["stderr_sha256"] is not None:
+        assert golden.sha256(res.stderr.encode()) == entry["stderr_sha256"]
+
+
+def test_golden_registry_well_formed():
+    # an entry with a mistyped tier would be run by neither reader
+    entries = golden.load()
+    argvs = [tuple(e["argv"]) for e in entries]
+    assert len(set(argvs)) == len(argvs)
+    digest = re.compile(r"[0-9a-f]{64}")
+    for e in entries:
+        assert e["tier"] in golden.TIERS, e
+        assert digest.fullmatch(e["stdout_sha256"]), e
+        assert e["stderr_sha256"] is None or digest.fullmatch(e["stderr_sha256"]), e

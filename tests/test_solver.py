@@ -45,7 +45,7 @@ class TestTwoNorm:
             assert 90000 * bound.total >= n ** 3
             assert 1440000 * bound.witness_value ** 2 > n
             # witness value really is the color value of that translate
-            got = color_value(chi, bound.witness_edge, bound.witness_offset)
+            got = color_value(chi, bound.witness_edge, bound.witness.offset)
             assert abs(got) == bound.witness_value
             assert bound.witness_value >= bound.derived_disc_lb - 1e-9
 
@@ -500,6 +500,19 @@ class TestUpperBounds:
         monkeypatch.setattr(solver, "_scan", one_less)
         with pytest.raises(InternalInvariantViolation, match="random-rescore"):
             random_coloring_upper(8, trials=3, seed=0)
+
+    def test_local_rescore_check(self, monkeypatch):
+        # a re-verification scan that reports one more than the climbs found
+        scan = solver._scan
+
+        def one_more(words, sizes, batches):
+            best, word = scan(words, sizes, batches)
+            return best + 1, word
+
+        monkeypatch.setattr(solver, "_scan", one_more)
+        with pytest.raises(InternalInvariantViolation) as err:
+            local_search_upper(8, restarts=2, seed=0)
+        assert err.value.invariant == "local-search-rescore"
 
     def test_report_fields(self):
         rep = random_coloring_upper(10, trials=5, seed=1)
