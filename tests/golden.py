@@ -1,19 +1,18 @@
-"""The golden-output registry, ``golden.json``, and the runner of its slow
+"""The golden-output registry, ``golden.json``, and the runner of all its
 entries.
 
 Each entry pins one ``sumdisc`` command line (``argv``) by the SHA-256 of
-its stdout and, unless ``stderr_sha256`` is null, of its stderr; ``why``
-says what the pin covers.  ``tier`` says who runs it:
+its stdout and, unless ``stderr_sha256`` is null, of its stderr, taken
+on the bytes the command writes (CSV rows end in CRLF); ``why`` says what
+the pin covers.  ``tier`` says who else runs it:
 
-- ``suite``: ``test_cli.test_golden_stdout``, in-process, in the default
-  pytest run; the digests are of click's ``CliRunner`` text, in which the
-  CSV writer's CRLF line ends read as LF;
-- ``ci``: this script, for commands too slow for the suite; the digests
-  are of the bytes the process writes.
+- ``suite``: ``test_cli.test_golden_stdout`` too, in-process, in the
+  default pytest run;
+- ``ci``: only this script, for commands too slow for the suite.
 
     python tests/golden.py
 
-runs every ``ci`` entry as ``python -O -m sumdisc.cli <argv>`` with the
+runs every entry as ``python -O -m sumdisc.cli <argv>`` with the
 repository's ``src`` first on the path, prints one line per entry
 (seconds, OK or MISMATCH, argv), and exits 1 if any entry exits nonzero
 or prints other bytes.  A new pin is one entry in ``golden.json``.
@@ -48,7 +47,7 @@ def main() -> int:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     failed = 0
-    for entry in load("ci"):
+    for entry in load():
         start = time.perf_counter()
         res = subprocess.run(
             [sys.executable, "-O", "-m", "sumdisc.cli", *entry["argv"]],

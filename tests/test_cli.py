@@ -310,10 +310,10 @@ class TestFailureClasses:
 def test_golden_stdout(runner, entry):
     res = runner.invoke(main, entry["argv"])
     assert res.exit_code == 0
-    # CliRunner's text, in which the CSV writer's \r\n reads as \n
-    assert golden.sha256(res.stdout.encode()) == entry["stdout_sha256"]
+    # the bytes written, as tests/golden.py reads them from a process
+    assert golden.sha256(res.stdout_bytes) == entry["stdout_sha256"]
     if entry["stderr_sha256"] is not None:
-        assert golden.sha256(res.stderr.encode()) == entry["stderr_sha256"]
+        assert golden.sha256(res.stderr_bytes) == entry["stderr_sha256"]
 
 
 def test_golden_registry_well_formed():
