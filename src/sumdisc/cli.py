@@ -6,8 +6,12 @@ a seed with a fixed default, so identical invocations produce
 byte-identical output.  Invariant failures exit 1 with a one-line JSON
 failure record on stderr naming the module and the violated invariant;
 usage errors exit 2.  ``_Command.invoke`` is the one place that sorts
-failures into these exit codes, and ``_output`` the one place that opens
-an output stream.
+failures into these exit codes, and ``_write`` the one output path of a
+result: CSV rows under a header, or one JSON line per record, to stdout or
+to a file.  The ``ok`` column of ``sweep`` and ``twonorm`` is always 1,
+since a row exists only for a check that held: ``certify`` raises below
+``bound - TOL_SCALE*n`` with ``bound >= n/300``, and ``evaluate`` raises
+on both steps of the averaging chain.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ import random
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import nullcontext
 from fractions import Fraction
+from typing import Iterable
 
 import click
 
@@ -48,16 +53,20 @@ def _parse_alpha(_ctx, _param, value: str) -> Fraction:
     return alpha
 
 
-@contextmanager
-def _output(path: str):
-    """Stream for a command's result: stdout for "-", else the file, under
-    ``SUMDISC_OUT_DIR`` when that is set, closed on exit."""
-    if path == "-":
-        yield sys.stdout
-        return
-    with open(os.path.join(os.environ.get("SUMDISC_OUT_DIR", ""), path),
-              "w", newline="") as stream:
-        yield stream
+def _write(out: str, rows: Iterable, header: list[str] | None = None) -> None:
+    """Write a command's result: with a header, CSV rows through
+    ``csv.writer``; without one, each dict row as a JSON line.  To stdout
+    for "-", else to the file ``out``, under ``SUMDISC_OUT_DIR`` when that
+    is set."""
+    with (nullcontext(sys.stdout) if out == "-" else
+          open(os.path.join(os.environ.get("SUMDISC_OUT_DIR", ""), out),
+               "w", newline="")) as stream:
+        if header is None:
+            stream.writelines(json.dumps(row) + "\n" for row in rows)
+        else:
+            writer = csv.writer(stream)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 class _Command(click.Command):
@@ -95,15 +104,14 @@ def main() -> None:
 def family_cmd(n: int, fmt: str, out: str, stats: bool) -> None:
     """Build the structured edge family and dump it, one edge per row."""
     fam = family.build_family(family.FamilyConfig(n=n))
-    with _output(out) as stream:
-        if fmt == "jsonl":
-            family.write_family_jsonl(fam, stream)
-        else:
-            writer = csv.writer(stream)
-            writer.writerow(["sub", "d1", "l1", "d2", "l2", "k", "b"])
-            for rec in family.family_records(fam):
-                writer.writerow([rec["sub"], rec["d1"], rec["l1"], rec["d2"],
-                                 rec["l2"], rec.get("k", ""), rec.get("b", "")])
+    records = family.family_records(fam)
+    if fmt == "jsonl":
+        _write(out, records)
+    else:
+        # csv.writer writes the e1 and e2 rows' missing k and b (None) as ""
+        _write(out, ([rec["sub"], rec["d1"], rec["l1"], rec["d2"], rec["l2"],
+                      rec.get("k"), rec.get("b")] for rec in records),
+               ["sub", "d1", "l1", "d2", "l2", "k", "b"])
     if stats:
         st = family.family_stats(fam)
         click.echo(json.dumps(st.__dict__), err=True)
@@ -116,23 +124,15 @@ def family_cmd(n: int, fmt: str, out: str, stats: bool) -> None:
 @click.option("--out", default="-", show_default=True)
 def certify_cmd(n: int, alpha: Fraction, out: str) -> None:
     """Certify one alpha and print the witness certificate as JSON."""
-    cert = certifier.certify(alpha, n)
-    with _output(out) as stream:
-        stream.write(json.dumps(cert.to_json_dict()) + "\n")
+    _write(out, [certifier.certify(alpha, n).to_json_dict()])
 
 
 def _sweep_chunk(args: tuple) -> list[list]:
+    # a branch without delta2 or k leaves it None, which csv.writer writes as ""
     n, alphas = args
-    return [_cert_row(certifier.certify(alpha, n)) for alpha in alphas]
-
-
-def _cert_row(cert: certifier.Certificate) -> list:
-    ok = cert.measured >= cert.n / 300 - certifier.TOL_SCALE * cert.n
-    return [f"{cert.alpha.numerator}/{cert.alpha.denominator}", cert.case_tag,
-            cert.delta1, cert.delta2 if cert.delta2 is not None else "",
-            cert.k if cert.k is not None else "",
-            f"{cert.measured:.9g}", f"{cert.certified_bound:.9g}",
-            int(ok)]
+    return [[f"{c.alpha.numerator}/{c.alpha.denominator}", c.case_tag, c.delta1,
+             c.delta2, c.k, f"{c.measured:.9g}", f"{c.certified_bound:.9g}", 1]
+            for alpha in alphas for c in [certifier.certify(alpha, n)]]
 
 
 @main.command("sweep")
@@ -164,12 +164,8 @@ def sweep_cmd(n: int, grid: int, n_random: int, seed: int, adversarial: bool,
             parts = list(pool.map(_sweep_chunk, chunks))
     else:
         parts = list(map(_sweep_chunk, chunks))
-    with _output(out) as stream:
-        writer = csv.writer(stream)
-        writer.writerow(["alpha", "case", "delta1", "delta2", "k", "measured",
-                         "bound", "ok"])
-        for rows in parts:
-            writer.writerows(rows)
+    _write(out, (row for rows in parts for row in rows),
+           ["alpha", "case", "delta1", "delta2", "k", "measured", "bound", "ok"])
 
 
 @main.command("disc")
@@ -190,8 +186,7 @@ def disc_cmd(n: int, method: str, trials: int, restarts: int, seed: int,
         report = solver.local_search_upper(n, restarts=restarts, seed=seed)
     else:
         report = solver.random_coloring_upper(n, trials=trials, seed=seed)
-    with _output(out) as stream:
-        stream.write(json.dumps(report.to_json_dict()) + "\n")
+    _write(out, [report.to_json_dict()])
 
 
 def _parse_colorings(spec: str, n: int, seed: int) -> list[tuple[str, Coloring]]:
@@ -231,17 +226,9 @@ def twonorm_cmd(n: int, colorings: str, seed: int, out: str) -> None:
     """Averaging lower bound over the family, one CSV row per coloring."""
     named = _parse_colorings(colorings, n, seed)
     engine = solver.TwoNormEngine(family.build_family(family.FamilyConfig(n=n)))
-    rows = []
-    for name, chi in named:
-        bnd = engine.evaluate(chi)
-        ok = (90000 * bnd.total >= n ** 3
-              and 1440000 * bnd.witness_value ** 2 > n)
-        rows.append([name, bnd.total, f"{bnd.derived_disc_lb:.9g}",
-                     bnd.witness_value, int(ok)])
-    with _output(out) as stream:
-        writer = csv.writer(stream)
-        writer.writerow(["coloring_id", "S", "bound", "max_abs", "ok"])
-        writer.writerows(rows)
+    rows = [[name, bnd.total, f"{bnd.derived_disc_lb:.9g}", bnd.witness_value, 1]
+            for name, chi in named for bnd in [engine.evaluate(chi)]]
+    _write(out, rows, ["coloring_id", "S", "bound", "max_abs", "ok"])
 
 
 @main.command("spectrum")
@@ -254,11 +241,9 @@ def twonorm_cmd(n: int, colorings: str, seed: int, out: str) -> None:
 def spectrum_cmd(d1: int, l1: int, d2: int, l2: int, grid: int, out: str) -> None:
     """Magnitudes of one edge's exponential sum on the grid t/m."""
     edge = SumEdge(d1=d1, l1=l1, d2=d2, l2=l2)
-    with _output(out) as stream:
-        writer = csv.writer(stream)
-        writer.writerow(["alpha_num", "alpha_den", "magnitude"])
-        for t, value in enumerate(fourier.edge_spectrum(edge, grid)):
-            writer.writerow([t, grid, f"{abs(value):.9g}"])
+    _write(out, ([t, grid, f"{abs(value):.9g}"]
+                 for t, value in enumerate(fourier.edge_spectrum(edge, grid))),
+           ["alpha_num", "alpha_den", "magnitude"])
 
 
 @main.command("verify-lemmas")

@@ -26,7 +26,6 @@ family is one int64 table of rows (d1, l1, d2, l2) built in numpy
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -273,8 +272,3 @@ def family_records(f: FamilyE0) -> Iterator[dict]:
             yield {"sub": sub, "d1": d1, "l1": l1, "d2": d2, "l2": l2}
     for (d1, l1, d2, l2), k, b in zip(rows[c1 + c2:], f.k.tolist(), f.b.tolist()):
         yield {"sub": "e3", "d1": d1, "l1": l1, "d2": d2, "l2": l2, "k": k, "b": b}
-
-
-def write_family_jsonl(f: FamilyE0, stream) -> None:
-    for rec in family_records(f):
-        stream.write(json.dumps(rec) + "\n")
