@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, NamedTuple
 
@@ -199,8 +198,7 @@ class Coloring:
         return cls(n, v)
 
 
-@dataclass(frozen=True)
-class TranslatedEdgeValue:
+class TranslatedEdgeValue(NamedTuple):
     """Color value of one translate: value == sum of chi over (offset + E)."""
 
     edge: SumEdge

@@ -37,8 +37,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,8 +59,7 @@ class FamilyMismatch(ValueError):
     """Coloring and family were built for different n."""
 
 
-@dataclass(frozen=True)
-class DiscReport:
+class DiscReport(NamedTuple):
     n: int
     method: str
     disc_value: int
@@ -92,8 +90,7 @@ class DiscReport:
         return rec
 
 
-@dataclass(frozen=True)
-class TwoNormBound:
+class TwoNormBound(NamedTuple):
     """Result of the averaging lower bound for one coloring."""
 
     n: int
@@ -152,9 +149,9 @@ class TwoNormEngine:
         sizes = shape[:, 1] * shape[:, 3]
         coll = np.flatnonzero(~free)
         # the colliding edges by d1: index, |E|, d2, o, a.l1, a.l2, b.l1 and b.l2
-        self._colliding = coll[np.argsort(shape[coll, 0], kind="stable")]
+        colliding = coll[np.argsort(shape[coll, 0], kind="stable")]
         split = np.array([(i, edge_cardinality(e), e.d2, o, a.l1, a.l2, b.l1, b.l2)
-                          for i in self._colliding.tolist() for e in [family.edge(i)]
+                          for i in colliding.tolist() for e in [family.edge(i)]
                           for (_, a), (o, b) in [staircase_split(e)]],
                          dtype=np.int64).reshape(-1, 8)
         sizes[split[:, 0]] = split[:, 1]

@@ -61,13 +61,16 @@ class TestTwoNorm:
 
     def test_rows_become_edges_only_where_needed(self, monkeypatch):
         # the engine reads the family's table as it is: only the colliding
-        # rows (4 at n=1024) and the witness become SumEdges
+        # rows (4 at n=1024, taken in stable d1 order) and the witness
+        # become SumEdges
         fam = build_family(FamilyConfig(n=1024))
+        coll = np.flatnonzero(~collision_free(*fam.edges.T, np.gcd))
+        coll = coll[np.argsort(fam.edges[coll, 0], kind="stable")]
         calls, edge = [], FamilyE0.edge
         monkeypatch.setattr(FamilyE0, "edge",
                             lambda self, i: calls.append(i) or edge(self, i))
         engine = TwoNormEngine(fam)
-        assert calls == engine._colliding.tolist() and len(calls) == 4
+        assert calls == coll.tolist() and len(calls) == 4
         bound = engine.evaluate(Coloring.random(1024, seed=0))
         assert len(calls) == 5 and bound.witness_edge == edge(fam, calls[-1])
 
@@ -115,13 +118,15 @@ class TestTwoNorm:
 
 CHAIN_MODULES = """
 import json, sys
+import numpy as np
 from sumdisc.family import FamilyConfig, build_family
-from sumdisc.hypergraph import Coloring
+from sumdisc.hypergraph import Coloring, collision_free
 from sumdisc.solver import TwoNormEngine
-engine = TwoNormEngine(build_family(FamilyConfig(n=1024)))
-engine.evaluate(Coloring.random(1024, seed=0))
+fam = build_family(FamilyConfig(n=1024))
+TwoNormEngine(fam).evaluate(Coloring.random(1024, seed=0))
 json.dump({"numpy.ma": "numpy.ma" in sys.modules,
-           "colliding": len(engine._colliding)}, sys.stdout)
+           "colliding": int((~collision_free(*fam.edges.T, np.gcd)).sum())},
+          sys.stdout)
 """
 
 
