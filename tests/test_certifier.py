@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumdisc import certifier
 from sumdisc.certifier import (MIN_N, TOL_SCALE, BelowMinN, Certificate,
                                InternalInvariantViolation, certify,
                                select_delta1, sweep_alphas)
-from sumdisc.family import (FamilyConfig, build_family, kbar, length1_at_scale,
-                            length2_at_scale)
+from sumdisc.family import (FamilyConfig, build_family, e3_edge, kbar,
+                            length1_at_scale, length2_at_scale)
+from sumdisc.hypergraph import SumEdge
 
 from exp_reference import direct_exp_sum
 
@@ -203,6 +205,41 @@ class TestCertify:
         again = pickle.loads(pickle.dumps(cert))
         assert again == cert and type(again) is Certificate
         assert again.to_json_dict() == cert.to_json_dict()
+
+
+# certify's proved-fact checks cannot fire on valid input, so each trigger
+# breaks one helper that certify trusts: (invariant, helper, its stand-in,
+# an alpha whose branch reaches the check at n = 4096)
+CHECK_TRIGGERS = [
+    ("dirichlet-existence", "first_convergent", lambda *args: None,
+     Fraction(1, 3000)),
+    ("injective-sumset", "edge_cardinality", lambda e: e.l1 * e.l2 - 1,
+     Fraction(47, 3000)),
+    ("size-bound", "e2_edge", lambda n, d1, d2: SumEdge(d1, 1, d2, 1),
+     Fraction(47, 3000)),
+    ("phase-budget-1", "e2_edge",
+     lambda n, d1, d2: SumEdge(d1, n // d1 - 1, d2, 1), Fraction(47, 3000)),
+    ("coprime-denominators", "dirichlet_approx", lambda alpha, k: (2, 0),
+     Fraction(2, 125)),
+    ("interval-membership", "in_m_interval", lambda *args: False,
+     Fraction(1, 3000)),
+    ("scale-range", "kbar", lambda n, d1: -1, Fraction(1, 3000)),
+    ("second-difference-dominates", "e3_edge",
+     lambda n, d1, k, d2: SumEdge(d1, d2, d2, e3_edge(n, d1, k, d2).l2),
+     Fraction(1, 3000)),
+    # a module global named pow shadows the builtin: every inverse is 1
+    ("inverse-residue", "pow", lambda *args: 1, Fraction(51, 1000)),
+]
+
+
+@pytest.mark.parametrize("invariant, helper, stand_in, alpha", CHECK_TRIGGERS,
+                         ids=[trigger[0] for trigger in CHECK_TRIGGERS])
+def test_certify_check_fires(monkeypatch, invariant, helper, stand_in, alpha):
+    certify(alpha, 4096)
+    monkeypatch.setattr(certifier, helper, stand_in, raising=helper != "pow")
+    with pytest.raises(InternalInvariantViolation) as err:
+        certify(alpha, 4096)
+    assert err.value.invariant == invariant
 
 
 @st.composite
