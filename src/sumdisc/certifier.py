@@ -8,9 +8,10 @@ approximated by a fraction a1/d1 with denominator d1 <= sqrt(n):
   single long progression with difference d1 keeps all phases within a
   sixth of a turn, giving magnitude >= n/288.
 * branch 2 - very good approximation, d1 > 24: a second approximation with
-  denominator below d1 supplies the other progression; the two denominators
-  are necessarily coprime, the sumset has at least n/150 elements, and all
-  phases stay within a sixth of a turn, giving >= n/300.
+  denominator below d1, a convergent that the walk for d1 already passed,
+  supplies the other progression; the two denominators are necessarily
+  coprime, the sumset has at least n/150 elements, and all phases stay
+  within a sixth of a turn, giving >= n/300.
 * branch 3 - approximation error at least 1/n: the error selects a dyadic
   scale k, and a second difference is built from the modular inverse of a1
   so that d2*alpha is extremely close to an integer; the edge lands in the
@@ -22,7 +23,7 @@ alpha = p/q each threshold on an error |d*alpha - a| is cross-multiplied
 into a test on |d*p - a*q| against q, and a failed check raises
 InternalInvariantViolation (also under ``python -O``).  The only rational
 built per alpha is the case-3 ``Certificate.d``; floating point only
-enters when the final magnitude is measured.
+enters when the final magnitude is measured, from the integers p and q.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .family import e1_edge, e2_edge, e3_edge, in_m_interval, kbar
-from .fourier import indicator_fourier
+# dirichlet_approx and indicator_fourier are not called here: bench/spans.py wraps them
+from .fourier import geometric_exp_sum, indicator_fourier
 from .hypergraph import SumEdge, edge_cardinality
 from .numtheory import (InternalInvariantViolation, dirichlet_approx,
-                        first_convergent)
+                        first_convergent, nearest_int)
 
 MIN_N = 576
 TOL_SCALE = 1e-6
@@ -100,21 +102,25 @@ def select_delta1(alpha: Fraction, n: int) -> tuple[int, int]:
     Existence follows from the pigeonhole bound |d*alpha - a| <= 1/(Q+1)
     with Q = floor(sqrt(n)), and Q+1 > sqrt(n).  The smallest such d is a
     convergent denominator of alpha, so the walk over convergents
-    (``first_convergent``) finds it.  The pair is already reduced: a
-    convergent p_i/q_i is in lowest terms, and at d = 1 the numerator a is
-    0 or 1.
+    (``first_convergent``) finds it; ``certify`` reads its branch-2 pair off
+    the convergents this walk passed.  The pair is already reduced: a
+    convergent p_i/q_i is in lowest terms, and at d = 1, a is 0 or 1.
     """
     p, q = alpha.numerator, alpha.denominator
     if not 0 <= p < q:
         raise ValueError("alpha must lie in [0, 1)")
-    qq = q * q
-    # |delta*alpha - a| < n**-0.5  <=>  n*r*r < q*q
-    hit = first_convergent(p, q, math.isqrt(n), lambda r: n * r * r < qq)
+    return _walk_delta1(p, q, n)[:2]
+
+
+def _walk_delta1(p: int, q: int, n: int) -> tuple[int, int, int, list]:
+    """select_delta1's walk at alpha = p/q, as (d1, a1, r, passed)."""
+    # |delta*alpha - a| < n**-0.5  <=>  n*r*r < q*q  <=>  n*r*r <= q*q - 1
+    hit = first_convergent(p, q, math.isqrt(n), math.isqrt((q * q - 1) // n))
     if hit is None:
         raise InternalInvariantViolation(
             "dirichlet-existence",
-            f"no denominator <= sqrt({n}) approximates {alpha} within n**-0.5")
-    return hit[:2]
+            f"no denominator <= sqrt({n}) approximates {Fraction(p, q)} within n**-0.5")
+    return hit
 
 
 def certify(alpha: Fraction, n: int) -> Certificate:
@@ -135,7 +141,7 @@ def certify(alpha: Fraction, n: int) -> Certificate:
     if n < MIN_N:
         raise BelowMinN(f"n={n} < {MIN_N}")
 
-    delta1, a1 = select_delta1(alpha, n)
+    delta1, a1, _, passed = _walk_delta1(p, q, n)
     signed = delta1 * p - a1 * q
     e1 = abs(signed)
     qq = q * q
@@ -148,16 +154,24 @@ def certify(alpha: Fraction, n: int) -> Certificate:
     # branches 1 and 2: |alpha - a1/d1| < 1/n  <=>  E * n < q * d1
     if e1 * n < q * delta1:
         if delta1 <= 24:
-            return _finish(alpha, n, 1, delta1, a1, e1_edge(n, delta1), n / 288)
-        delta2, a2 = dirichlet_approx(alpha, delta1 - 1)
+            return _finish(alpha, p, q, n, 1, delta1, a1, e1_edge(n, delta1), n / 288)
+        # dirichlet_approx(alpha, d1 - 1), read off the pairs the walk passed
+        for delta2, r in passed:
+            if r * (delta1 - 1) < q:
+                break
+        else:
+            raise InternalInvariantViolation(
+                "dirichlet-existence",
+                f"no denominator <= {delta1 - 1} approximates {alpha} within "
+                f"1/{delta1 - 1}; this contradicts the pigeonhole principle")
+        a2 = nearest_int(delta2 * p, q)
         if math.gcd(delta1, delta2) != 1:
             raise InternalInvariantViolation(
                 "coprime-denominators", f"gcd({delta1},{delta2}) != 1")
         edge = e2_edge(n, delta1, delta2)
         _size_checks(edge, 150, n)
         _phase_budget_checks(p, q, e1, edge.l1, delta2, a2, edge.l2)
-        return _finish(alpha, n, 2, delta1, a1, edge, n / 300,
-                       delta2=delta2, a2=a2)
+        return _finish(alpha, p, q, n, 2, delta1, a1, edge, n / 300, delta2, a2)
 
     # case 3: approximation error at least 1/n selects a dyadic scale, the
     # largest k with err1 < 2**-k * n**-0.5 / d1, i.e. 4^k * E^2 * n < q^2
@@ -206,9 +220,8 @@ def certify(alpha: Fraction, n: int) -> Certificate:
     a2 = mu + ceil_d * four_k * a1
     _phase_budget_checks(p, q, e1, edge.l1, delta2, a2, edge.l2)
     _size_checks(edge, 144, n)
-    return _finish(alpha, n, 3, delta1, a1, edge, n / 288,
-                   delta2=delta2, a2=a2, k=k, s=s, gamma=gamma, b=b,
-                   d=Fraction(d_num, d_den), mu=mu)
+    return _finish(alpha, p, q, n, 3, delta1, a1, edge, n / 288, delta2, a2, k,
+                   s, gamma, b, Fraction(d_num, d_den), mu)
 
 
 def _size_checks(edge: SumEdge, c: int, n: int) -> None:
@@ -235,16 +248,18 @@ def _phase_budget_checks(p: int, q: int, e1: int, l1: int,
             "phase-budget-2", f"|d2*alpha - a2| too large for l2={l2}")
 
 
-def _finish(alpha: Fraction, n: int, case: int, delta1: int, a1: int,
-            edge: SumEdge, bound: float, **extra) -> Certificate:
-    measured = abs(indicator_fourier(edge, alpha))
+def _finish(alpha: Fraction, p: int, q: int, n: int, case: int, delta1: int,
+            a1: int, edge: SumEdge, bound: float, *extra) -> Certificate:
+    """The certificate, with the Certificate fields after ``measured`` in
+    ``extra``.  The magnitude is ``indicator_fourier``'s product: certified
+    edges are collision-free (one progression, or by ``_size_checks``)."""
+    measured = abs(geometric_exp_sum(edge.d1, edge.l1, p, q)
+                   * geometric_exp_sum(edge.d2, edge.l2, p, q))
     if not measured >= bound - TOL_SCALE * n:
         raise InternalInvariantViolation(
             "magnitude-bound",
             f"measured {measured:.6f} < bound {bound:.6f} at alpha={alpha}")
-    return Certificate(alpha=alpha, n=n, case_tag=case, delta1=delta1, a1=a1,
-                       edge=edge, certified_bound=bound, measured=measured,
-                       **extra)
+    return Certificate(alpha, n, case, delta1, a1, edge, bound, measured, *extra)
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,8 @@ def _cis_minus_one(r: int, q: int) -> complex:
     return 2j * cmath.sin(cmath.pi * t) * cmath.exp(1j * cmath.pi * t)
 
 
-def geometric_exp_sum(diff: int, length: int, alpha: Fraction) -> complex:
-    """sum_{j<length} exp(2*pi*i*j*diff*alpha) in closed form."""
-    p, q = alpha.numerator, alpha.denominator
+def geometric_exp_sum(diff: int, length: int, p: int, q: int) -> complex:
+    """sum_{j<length} exp(2*pi*i*j*diff*p/q) in closed form."""
     r = (diff * p) % q
     if r == 0:
         return complex(length)
@@ -64,10 +63,9 @@ def indicator_fourier(e: SumEdge, alpha: Fraction) -> complex:
     the two collision-free translates of ``staircase_split``: the sum of
     their products, each times the exact phase of its offset.
     """
-    if e.collision_free:
-        return (geometric_exp_sum(e.d1, e.l1, alpha)
-                * geometric_exp_sum(e.d2, e.l2, alpha))
     p, q = alpha.numerator, alpha.denominator
+    if e.collision_free:
+        return geometric_exp_sum(e.d1, e.l1, p, q) * geometric_exp_sum(e.d2, e.l2, p, q)
     return sum(cmath.exp(TWO_PI * 1j * ((o * p) % q) / q) * indicator_fourier(piece, alpha)
                for o, piece in staircase_split(e))
 

@@ -5,8 +5,8 @@ positive denominator (``fractions.Fraction``), and all comparisons against
 irrational thresholds of the form ``c * sqrt(n)`` are done by integer
 squaring instead of floating point.  Rational approximation walks the
 continued-fraction convergents of ``p/q`` (``first_convergent``) and
-decides each step by an integer comparison on ``|d*p - a*q|`` against
-``q``; no rational number is formed on the way.  The rest of the package
+decides each step by comparing ``|d*p - a*q|`` with an integer bound
+taken once from the threshold; no rational number is formed on the way.  The rest of the package
 routes every branch decision through such integer comparisons; floats
 appear only when a complex exponential is evaluated and in the FFT
 autocorrelation of the averaging chain, whose results are rounded to
@@ -18,10 +18,10 @@ Proved facts are checked everywhere with ``check_invariant`` or by raising
 ways on purpose: ``check_invariant`` takes its message already built, so
 ``certifier`` and ``family`` raise directly inside ``if not ...:`` and
 build their f-string messages only on failure.  In ``certify``, which
-runs once per alpha, its checks (16 at the time) written as
-``check_invariant`` calls with the same f-strings cut the rate from
-78-81k to 53-59k calls/s (the sweep's alpha recipe at n = 4096 and 2^18,
-the two spellings alternating in one process on one CPU of a 2-core
+runs once per alpha, its checks (17, of which 16 can be spelled so)
+written as ``check_invariant`` calls with the same f-strings cut the rate
+from 102-106k to 57-58k calls/s (the sweep's alpha recipe at n = 4096 and
+2^18, the two spellings alternating in one process on one CPU of a 2-core
 host, best of 9 passes each).
 """
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Callable
 
 
 class InternalInvariantViolation(RuntimeError):
@@ -86,32 +85,35 @@ def nearest_int(num: int, den: int) -> int:
 
 
 def first_convergent(p: int, q: int, limit: int,
-                     accept: Callable[[int], bool]) -> tuple[int, int, int] | None:
+                     rmax: int) -> tuple[int, int, int, list] | None:
     """First convergent denominator d <= limit of p/q (q >= 1) whose error
-    passes ``accept``, as ``(d, a, r)`` with ``a = nearest_int(d*p, q)`` and
-    ``r = |d*p - a*q|``; None if no convergent up to ``limit`` passes.
+    ``r = |d*p - a*q|`` is at most ``rmax >= 0``, as ``(d, a, r, passed)``
+    with ``a = nearest_int(d*p, q)`` and ``passed`` the ``(d, r)`` pairs of
+    the convergents walked before it; None if no convergent up to ``limit``
+    passes.  A threshold ``||d*p/q|| < eps`` is one test ``r <= rmax``.
 
-    ``accept(r)`` must be a threshold test ``||d*p/q|| < eps`` written on
-    the integer r.  Then the answer is the smallest d in [1, limit] that
-    passes at all: for 1 <= d < q_{i+1}, ||d*alpha|| >= ||q_i*alpha||
-    (Lagrange; Khinchin, *Continued Fractions*, Sec. 6; Hardy & Wright,
-    Ch. X), so the smallest qualifying d is a best approximation of the
-    second kind and hence a convergent denominator q_i.  The walk takes
-    O(log q) steps.
+    The answer is the smallest d in [1, limit] that passes at all: for
+    1 <= d < q_{i+1}, ||d*alpha|| >= ||q_i*alpha|| (Lagrange; Khinchin,
+    *Continued Fractions*, Sec. 6; Hardy & Wright, Ch. X), so the smallest
+    qualifying d is a best approximation of the second kind and hence a
+    convergent denominator q_i.  A walk up to a limit below the hit visits
+    exactly ``passed``, so under another threshold it answers with the
+    first pair there that meets it.  The walk takes O(log q) steps.
 
     The error needs no product: at q_i the Euclid remainder x_i equals
     |q_i*p - p_i*q| (Khinchin, Secs. 1-2), so r = min(x_i, q - x_i).  For
     i >= 1, x_i < q/2 and p_i is the nearest integer; at i = 0 the tie
-    2*x == q gives the same r either way.  Only the hit forms d*p.
+    2*x == q gives the same r either way.  At d = q, r == 0 passes, so no
+    remainder divides by zero.  Only the hit forms d*p.
     """
     x, y = p % q, q            # Euclid on (p - floor(p/q)*q)/q
     d_prev, d = 0, 1           # q_{-1}, q_0
+    passed = []
     while d <= limit:
         r = x if 2 * x <= q else q - x
-        if accept(r):
-            return d, nearest_int(d * p, q), r
-        if x == 0:             # d = q: r == 0, the last convergent
-            return None
+        if r <= rmax:
+            return d, nearest_int(d * p, q), r, passed
+        passed.append((d, r))
         c, rem = divmod(y, x)
         x, y = rem, x
         d_prev, d = d, c * d + d_prev
@@ -126,22 +128,22 @@ def dirichlet_approx(alpha: Fraction, k: int) -> tuple[int, int]:
     Existence is the classical pigeonhole fact for one-dimensional
     approximation, so a walk without a hit is an internal bug.  The walk
     visits the O(log q) convergent denominators of alpha
-    (``first_convergent``).
+    (``first_convergent``).  ``certify`` takes its branch-2 pair, this
+    function's answer at k = d1 - 1, from the pairs its first walk passed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     p, q = alpha.numerator, alpha.denominator
     if not 0 <= p < q:
         raise ValueError("alpha must lie in [0, 1)")
-    # |delta*alpha - a| < 1/k  <=>  r*k < q
-    hit = first_convergent(p, q, k, lambda r: r * k < q)
+    # |delta*alpha - a| < 1/k  <=>  r*k < q  <=>  r <= (q - 1) // k
+    hit = first_convergent(p, q, k, (q - 1) // k)
     if hit is None:
         raise InternalInvariantViolation(
             "dirichlet-existence",
             f"no denominator <= {k} approximates {alpha} within 1/{k}; "
             "this contradicts the pigeonhole principle")
-    delta, a, _ = hit
-    return delta, a
+    return hit[:2]
 
 
 def totatives(delta: int) -> list[int]:

@@ -295,17 +295,16 @@ family.m_sets(36, 3, 0, np.array(family.totatives(3), dtype=np.int64))
     "certifier initial-approximation": """
 from fractions import Fraction
 from sumdisc import certifier
-certifier.select_delta1 = lambda alpha, n: (1, 0)
+# the walk claims d1 = 1, a1 = 0 (error 1/3) as its hit
+certifier._walk_delta1 = lambda p, q, n: (1, 0, 1, [])
 certifier.certify(Fraction(1, 3), 1024)
 """,
     "certifier phase-budget-2": """
 from fractions import Fraction
 from sumdisc import certifier
-approx = certifier.dirichlet_approx
-def off_by_one(alpha, k):
-    delta, a = approx(alpha, k)
-    return delta, a + 1
-certifier.dirichlet_approx = off_by_one
+# branch 2's a2 = nearest_int(d2*p, q), one off
+nearest = certifier.nearest_int
+certifier.nearest_int = lambda num, den: nearest(num, den) + 1
 certifier.certify(Fraction(4, 27), 1024)
 """,
 }

@@ -6,16 +6,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumdisc import certifier
+from sumdisc import certifier, numtheory
 from sumdisc.certifier import (MIN_N, TOL_SCALE, BelowMinN, Certificate,
                                InternalInvariantViolation, certify,
                                select_delta1, sweep_alphas)
 from sumdisc.family import (FamilyConfig, build_family, e3_edge, kbar,
                             length1_at_scale, length2_at_scale)
 from sumdisc.hypergraph import SumEdge
+from sumdisc.numtheory import dirichlet_approx
 
 from exp_reference import direct_exp_sum
 
@@ -207,6 +208,12 @@ class TestCertify:
         assert again.to_json_dict() == cert.to_json_dict()
 
 
+def walk_passing(pairs):
+    """A stand-in for the convergent walk: its real hit, but ``pairs`` as
+    the convergents it passed, where branch 2 reads its pair."""
+    return lambda *args: (*numtheory.first_convergent(*args)[:3], pairs)
+
+
 # certify's proved-fact checks cannot fire on valid input, so each trigger
 # breaks one helper that certify trusts: (invariant, helper, its stand-in,
 # an alpha whose branch reaches the check at n = 4096)
@@ -219,7 +226,8 @@ CHECK_TRIGGERS = [
      Fraction(47, 3000)),
     ("phase-budget-1", "e2_edge",
      lambda n, d1, d2: SumEdge(d1, n // d1 - 1, d2, 1), Fraction(47, 3000)),
-    ("coprime-denominators", "dirichlet_approx", lambda alpha, k: (2, 0),
+    # d1 = 62, and d2 = 2 passes every threshold with r = 0
+    ("coprime-denominators", "first_convergent", walk_passing([(2, 0)]),
      Fraction(2, 125)),
     ("interval-membership", "in_m_interval", lambda *args: False,
      Fraction(1, 3000)),
@@ -240,6 +248,16 @@ def test_certify_check_fires(monkeypatch, invariant, helper, stand_in, alpha):
     with pytest.raises(InternalInvariantViolation) as err:
         certify(alpha, 4096)
     assert err.value.invariant == invariant
+
+
+def test_certify_branch2_existence_fires(monkeypatch):
+    # branch 2's own dirichlet-existence: no passed convergent is left
+    certify(Fraction(47, 3000), 4096)
+    monkeypatch.setattr(certifier, "first_convergent", walk_passing([]))
+    with pytest.raises(InternalInvariantViolation) as err:
+        certify(Fraction(47, 3000), 4096)
+    assert err.value.invariant == "dirichlet-existence"
+    assert str(err.value).startswith("dirichlet-existence: no denominator <= 62 ")
 
 
 @st.composite
@@ -295,6 +313,18 @@ def test_certify_property(case):
         assert cert.k == k
         assert cert.d == 1 / (err * four_k * d1 ** 2) - Fraction(cert.b, four_k * d1)
         assert cert.delta2 == cert.b + math.ceil(cert.d) * four_k * d1
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=alpha_and_n().filter(lambda case: certify(*case).case_tag == 2))
+# d1 = 25, and the passed pair (4, 4) meets 4 * 24 == q, not 4 * 24 < q
+@example(case=(Fraction(23, 96), 1024))
+def test_branch2_pair_is_dirichlet_approx(case):
+    """Branch 2 reads its pair off the convergents the first walk passed;
+    the second walk it replaced, dirichlet_approx(alpha, d1 - 1), is the
+    oracle."""
+    cert = certify(*case)
+    assert (cert.delta2, cert.a2) == dirichlet_approx(case[0], cert.delta1 - 1)
 
 
 class TestSweep:

@@ -293,7 +293,7 @@ class TestFailureClasses:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_forced_failure_record(self, runner, monkeypatch, threads):
         # forked pool workers inherit the patch
-        monkeypatch.setattr(certifier, "indicator_fourier", lambda e, alpha: 0j)
+        monkeypatch.setattr(certifier, "geometric_exp_sum", lambda *args: 0j)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         res = runner.invoke(main, ["sweep", "--n", "1024", "--grid", "8",
                                    "--no-adversarial", "--threads", str(threads)])

@@ -67,7 +67,7 @@ class TestIndicator:
 
     def test_geometric_sum_is_geometric(self):
         alpha = Fraction(3, 7)
-        got = geometric_exp_sum(2, 5, alpha)
+        got = geometric_exp_sum(2, 5, alpha.numerator, alpha.denominator)
         expected = sum(cmath.exp(2j * cmath.pi * 2 * j * 3 / 7) for j in range(5))
         assert got == pytest.approx(expected, abs=1e-12)
 

@@ -88,18 +88,19 @@ def prefix_minima(rows):
 
 
 def walk_hits(p, q):
-    """Every convergent of p/q that first_convergent returns, in order:
-    each call asks for an error below the last one's, so the walk stops at
-    the next convergent with a smaller error, down to the last (r == 0).
-    Each hit is checked against its definition by one direct product."""
-    hits = [first_convergent(p, q, q, lambda r: True)]
+    """Every convergent of p/q that first_convergent returns, as (d, a, r),
+    in order: each call asks for an error below the last one's, so the walk
+    stops at the next convergent with a smaller error, down to the last
+    (r == 0).  Each hit is checked against its definition by one direct
+    product, and the pairs each walk passed are the earlier hits."""
+    hits = [first_convergent(p, q, q, q)]
     while hits[-1][2]:
-        last = hits[-1][2]
-        hits.append(first_convergent(p, q, q, lambda r: r < last))
-    for d, a, r in hits:
+        hits.append(first_convergent(p, q, q, hits[-1][2] - 1))
+    for i, (d, a, r, passed) in enumerate(hits):
         assert a == nearest_int(d * p, q)
         assert r == abs(d * p - a * q)
-    return hits
+        assert list(dict.fromkeys(passed)) == [(h[0], h[2]) for h in hits[:i]]
+    return [hit[:3] for hit in hits]
 
 
 def scan_select_delta1(alpha, n, rows=None):
@@ -164,9 +165,9 @@ class TestConvergentWalk:
         p = data.draw(st.integers(min_value=0, max_value=q - 1))
         limit = data.draw(st.integers(min_value=1, max_value=q))
         k = data.draw(st.integers(min_value=1, max_value=q))
-        hit = first_convergent(p, q, limit, lambda r: r * k < q)
+        hit = first_convergent(p, q, limit, (q - 1) // k)
         if hit is not None:
-            d, a, r = hit
+            d, a, r, _ = hit
             assert 1 <= d <= limit
             assert a == nearest_int(d * p, q)
             assert r == abs(d * p - a * q)
@@ -174,11 +175,27 @@ class TestConvergentWalk:
         walk_hits(p, q)
 
     def test_no_pass_returns_none(self):
-        # 1/3 within 1/100 needs d = 3 > limit 2
-        assert first_convergent(1, 3, 2, lambda r: r * 100 < 3) is None
-        assert first_convergent(1, 3, 3, lambda r: r * 100 < 3) == (3, 1, 0)
-        assert first_convergent(1, 3, 10, lambda r: False) is None
+        # 1/3 within 1/100 (r * 100 < 3, r <= 0) needs d = 3 > limit 2; the
+        # last convergent, r == 0, passes every rmax >= 0
+        assert first_convergent(1, 3, 2, 0) is None
+        assert first_convergent(1, 3, 3, 0) == (3, 1, 0, [(1, 1)])
+        assert first_convergent(1, 3, 10, 0) == (3, 1, 0, [(1, 1)])
         assert scan_first(scan_rows(1, 3, 10), 10, lambda r: False) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.integers(min_value=1, max_value=10 ** 18), data=st.data(),
+           n=st.integers(min_value=1, max_value=10 ** 7))
+    def test_passed_pairs_are_the_convergents_below_the_hit(self, q, data, n):
+        # select_delta1's walk: the pairs passed are the d < d1 whose error
+        # is below every smaller d's (best approximations of the second
+        # kind, the convergents), with that error, in order.  d = 1 is
+        # passed twice when q_0 = q_1 = 1 (a first partial quotient of 1)
+        p = data.draw(st.integers(min_value=0, max_value=q - 1))
+        d1, a1, _, passed = first_convergent(p, q, math.isqrt(n),
+                                             math.isqrt((q * q - 1) // n))
+        assert (d1, a1) == select_delta1(Fraction(p, q), n)
+        below = [(d, r) for d, _, r in prefix_minima(scan_rows(p, q, d1 - 1))]
+        assert passed in (below, below[:1] + below)
 
 
 class TestTotatives:
