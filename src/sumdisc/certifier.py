@@ -114,7 +114,7 @@ def select_delta1(alpha: Fraction, n: int) -> tuple[int, int]:
 
 def _walk_delta1(p: int, q: int, n: int) -> tuple[int, int, int, list]:
     """select_delta1's walk at alpha = p/q, as (d1, a1, r, passed)."""
-    # |delta*alpha - a| < n**-0.5  <=>  n*r*r < q*q  <=>  n*r*r <= q*q - 1
+    # |delta*alpha - a| < n**-0.5  <=>  n*r*r <= q*q - 1  <=>  r <= isqrt((q*q - 1) // n)
     hit = first_convergent(p, q, math.isqrt(n), math.isqrt((q * q - 1) // n))
     if hit is None:
         raise InternalInvariantViolation(

@@ -6,11 +6,11 @@ irrational thresholds of the form ``c * sqrt(n)`` are done by integer
 squaring instead of floating point.  Rational approximation walks the
 continued-fraction convergents of ``p/q`` (``first_convergent``) and
 decides each step by comparing ``|d*p - a*q|`` with an integer bound
-taken once from the threshold; no rational number is formed on the way.  The rest of the package
-routes every branch decision through such integer comparisons; floats
-appear only when a complex exponential is evaluated and in the FFT
-autocorrelation of the averaging chain, whose results are rounded to
-integers under a checked residue bound.
+taken once from the threshold; no rational number is formed on the way.
+The rest of the package routes every branch decision through such
+integer comparisons; floats appear only when a complex exponential is
+evaluated and in the FFT autocorrelation of the averaging chain, whose
+results are rounded to integers under a checked residue bound.
 
 Proved facts are checked everywhere with ``check_invariant`` or by raising
 ``InternalInvariantViolation``; unlike ``assert``, both run under
